@@ -47,6 +47,7 @@ from repro.ir.opsem import (
     eval_fcmp,
     eval_gep,
     eval_icmp,
+    eval_select,
 )
 from repro.ir.values import Constant, GlobalVariable, Value
 from repro.memory.backing import MainMemory
@@ -325,10 +326,8 @@ class MulticoreCPU:
                                   self._resolve(env, inst.operands[0]),
                                   self._resolve(env, inst.operands[1]))
         elif isinstance(inst, Select):
-            cond, if_true, if_false = inst.operands
-            env[inst] = (self._resolve(env, if_true)
-                         if self._resolve(env, cond)
-                         else self._resolve(env, if_false))
+            env[inst] = eval_select(
+                *[self._resolve(env, v) for v in inst.operands])
         elif isinstance(inst, Cast):
             env[inst] = eval_cast(inst.kind,
                                   self._resolve(env, inst.operands[0]),

@@ -19,8 +19,8 @@ Subcommands mirror the toolchain stages:
 * ``profile``   — run a source file under the cycle profiler (guest
   cycles), or under the host-time profiler with ``--host`` (where do
   host seconds go while simulating this design?)
-* ``diff``      — run a source file under both simulation engines and
-  fail unless cycle counts and stats are bit-identical
+* ``diff``      — run a source file under every simulation engine and
+  fail unless cycles, return value, stats and memory are bit-identical
 * ``history``   — list the persistent run registry
   (``results/history/runs.jsonl``), diff each series' newest run
   against its predecessor and flag regressions beyond a drift threshold
@@ -35,6 +35,7 @@ passes -> elaborate -> simulate) next to the guest cycle timeline, and
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -551,12 +552,13 @@ def cmd_diff(args) -> int:
     source file.
 
     The event and compiled engines' contract is bit-identical cycle
-    counts and architectural stats against the dense oracle; this
-    command checks it end to end on an arbitrary ``.cilk`` source (CI
-    runs it over every file in ``examples/programs/``). On divergence it
-    walks the per-cycle channel-movement logs of both runs and reports
-    the first cycle the engines disagree on, naming the channel(s) and
-    the component driving them.
+    counts, return value, architectural stats and final memory image
+    against the dense oracle; this command checks it end to end on an
+    arbitrary ``.cilk`` source (CI runs it over every file in
+    ``examples/programs/``). On divergence it walks the per-cycle
+    channel-movement logs of both runs and reports the first cycle the
+    engines disagree on, naming the channel(s) and the component driving
+    them, plus the first memory address whose final bytes differ.
     """
     module = _load_module(args.source)
     function = (module.function(args.entry) if args.entry
@@ -577,6 +579,7 @@ def cmd_diff(args) -> int:
         return 1
 
     outcomes = {}
+    images = {}
     logs = {}
     drivers = {}
     for engine in engines:
@@ -588,7 +591,9 @@ def cmd_diff(args) -> int:
         result = accel.run(function.name, entry_args)
         stats = dict(result.stats)
         stats.pop("engine", None)  # host-side numbers legitimately differ
-        outcomes[engine] = (result.cycles, result.retval, stats)
+        outcomes[engine] = (result.cycles, result.retval, stats,
+                            hashlib.sha256(accel.memory.data).hexdigest())
+        images[engine] = accel.memory.data
 
     baseline = engines[0]
     label = f"{module.name}:{function.name}"
@@ -601,11 +606,16 @@ def cmd_diff(args) -> int:
         where = _first_movement_divergence(
             logs[baseline], logs[engine], baseline, engine, drivers)
         detail = (f"; first divergent cycle {where[0]}: {where[1]}"
-                  if where else "; channel movement identical "
-                                "(stats-only divergence)")
+                  if where else "; channel movement identical")
+        differ = [what for what, i in (("retval", 1), ("stats", 2),
+                                       ("memory", 3)) if base[i] != other[i]]
+        if base[3] != other[3]:
+            a, b = images[baseline], images[engine]
+            address = next(i for i in range(len(a)) if a[i] != b[i])
+            detail += f"; memory first differs at address {address:#x}"
         print(f"error: {label}: {baseline} vs {engine} diverge "
               f"({baseline} {base[0]} cycles, {engine} {other[0]} cycles"
-              + ("" if base[1:] == other[1:] else "; retval/stats differ")
+              + (f"; {'/'.join(differ)} differ" if differ else "")
               + ")" + detail, file=sys.stderr)
     if failed:
         return 1

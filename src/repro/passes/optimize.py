@@ -37,7 +37,7 @@ from repro.ir.instructions import (
     Select,
 )
 from repro.ir.module import Module
-from repro.ir.opsem import eval_binop, eval_cast, eval_fcmp, eval_icmp
+from repro.ir.opsem import eval_binop, eval_cast, eval_fcmp, eval_icmp, eval_select
 from repro.ir.values import Constant, Value
 
 #: instruction classes that are pure (no side effects, no memory)
@@ -57,7 +57,7 @@ def _fold(inst: Instruction):
         if isinstance(inst, FCmp):
             return Constant(inst.type, eval_fcmp(inst.predicate, *vals))
         if isinstance(inst, Select):
-            return Constant(inst.type, vals[1] if vals[0] else vals[2])
+            return Constant(inst.type, eval_select(*vals))
         if isinstance(inst, Cast):
             return Constant(inst.type, eval_cast(inst.kind, vals[0], inst.type))
     except Exception:

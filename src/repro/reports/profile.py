@@ -118,7 +118,11 @@ def render_host_profile_report(name: str, profiler,
     elaborate) are appended so compile time is visible next to sim time.
     """
     wall = profiler.wall_ns / 1e9
-    engine = profiler.sim.engine if profiler.sim is not None else "?"
+    engine = "?"
+    if profiler.sim is not None:  # name the engine that ran, after fallback
+        fallback = profiler.sim.compiled_fallback
+        engine = (f"event (compiled fallback: {fallback})" if fallback
+                  else profiler.sim.engine)
     sections = [f"Host profile: {name} — {wall:.3f}s simulator wall-clock, "
                 f"engine={engine}"]
 

@@ -6,9 +6,11 @@ exact design: every task unit / TXU tile is inlined down to straight-line
 per-dataflow-node code (operand reads, two's-complement wrap masks,
 handshake checks and latency literals baked in as constants), while the
 rarely-hot plumbing components (arbiters, demuxes, cache, DRAM,
-scratchpad, data boxes) keep their real ``tick()`` bodies but run behind
-*no-op guards* — start-of-cycle state checks that are provably false
-exactly when the tick could not change any architectural state.
+scratchpad, data boxes) are inlined too, statement for statement, but
+run behind *no-op guards* — start-of-cycle state checks that are
+provably false exactly when the tick could not change any architectural
+state. Pure IR ops are not written here: their statements come from the
+:mod:`repro.ir.opsem` table, which the interpreting engines run too.
 
 The contract is the same bit-identity the dense and event engines share:
 cycle counts, architectural stats, channel traffic and error behaviour
@@ -44,12 +46,13 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import SimulationError
+from repro.ir import opsem
 from repro.ir.instructions import (
     GEP,
     Alloca,
     BinaryOp,
     Br,
-    Call,
     Cast,
     CondBr,
     Detach,
@@ -59,16 +62,15 @@ from repro.ir.instructions import (
     Reattach,
     Ret,
     Select,
-    Store,
     Sync,
 )
-from repro.ir.types import FloatType, IntType, PointerType
 from repro.ir.values import Constant, GlobalVariable
 from repro.memory.arbiter import Demux, RoundRobinArbiter
 from repro.memory.cache import Cache
 from repro.memory.databox import DataBox
 from repro.memory.dram import DRAMModel
 from repro.memory.scratchpad import Scratchpad
+from repro.sim.engine import DEADLOCK_WINDOW, STALL_WINDOW
 from repro.task.task_unit import OUTBOUND_BUFFER, TaskUnit
 from repro.task.txu import TXUTile
 
@@ -88,15 +90,6 @@ class UnsupportedDesign(Exception):
 
 #: in-process cache: digest -> exec'd module namespace (holds make_kernel)
 _MODULES: Dict[str, dict] = {}
-
-_ICMP_PY = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=",
-            "sgt": ">", "sge": ">="}
-_FCMP_PY = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=",
-            "ogt": ">", "oge": ">="}
-_INT_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
-            "xor": "^"}
-_FLT_OPS = {"fadd": "+", "fsub": "-", "fmul": "*"}
-
 
 def kernel_cache_dir() -> Path:
     """On-disk home of generated kernel sources (content-addressed)."""
@@ -228,7 +221,6 @@ def generate_source(sim) -> str:
 # byte-identical source and one cached module serves every sim of it.
 
 _PARKED = 1 << 60  # txu PARKED == the missing-dep sentinel (1 << 60)
-_CAST_INT = ("trunc", "sext", "zext")
 
 
 class _Emitter:
@@ -290,15 +282,6 @@ class _Emitter:
         k = self.ci(ch)
         return [ind + "CP[%d] = %s" % (k, expr),
                 ind + "dl.append(%d)" % k]
-
-    def pop_into(self, ch, var: Optional[str], ind: str) -> List[str]:
-        k = self.ci(ch)
-        L = []
-        if var is not None:
-            L.append(ind + "%s = c%di[0]" % (var, k))
-        L.append(ind + "CQ[%d] = 1" % k)
-        L.append(ind + "dl.append(%d)" % k)
-        return L
 
 
 def _fmt_const(value) -> Optional[str]:
@@ -375,24 +358,6 @@ class _StepperGen:
     def _lat(self, kind: str) -> int:
         return self.latencies.get(kind, 1)
 
-    def _wrap(self, target: str, type_, ind: str) -> List[str]:
-        """Two's-complement wrap of local ``r`` into ``target``
-        (mirrors IntType.wrap)."""
-        if not isinstance(type_, IntType):
-            raise UnsupportedDesign(
-                f"integer wrap on non-integer type {type_}")
-        bits = type_.bits
-        if bits == 1:
-            return [ind + "%s = r & 1" % target]
-        return [ind + "r &= %d" % ((1 << bits) - 1),
-                ind + "if r >= %d:" % (1 << (bits - 1)),
-                ind + "    r -= %d" % (1 << bits),
-                ind + "%s = r" % target]
-
-    def _f32(self, expr: str) -> str:
-        """Round-trip through single precision (opsem's float results)."""
-        return '_up("<f", _pk("<f", %s))[0]' % expr
-
     # -- node firing (mirrors TXUTile._fire) -------------------------------
 
     def fire_lines(self, node, ind: str) -> List[str]:
@@ -422,28 +387,8 @@ class _StepperGen:
                                 self.unit.frame_size, offset))
             else:
                 L.append(ind + "%s = _RegSlot(%s)" % (tgt, self.em.ref(ir)))
-        elif isinstance(ir, BinaryOp):
-            L.extend(self._binop_lines(ir, tgt, ind))
-        elif isinstance(ir, ICmp):
-            op = _ICMP_PY.get(ir.predicate)
-            if op is None:
-                raise UnsupportedDesign(f"icmp predicate {ir.predicate}")
-            L.append(ind + "%s = 1 if %s %s %s else 0"
-                     % (tgt, self.rvi(ir.lhs), op, self.rvi(ir.rhs)))
-        elif isinstance(ir, FCmp):
-            op = _FCMP_PY.get(ir.predicate)
-            if op is None:
-                raise UnsupportedDesign(f"fcmp predicate {ir.predicate}")
-            L.append(ind + "%s = 1 if %s %s %s else 0"
-                     % (tgt, self.rvf(ir.operands[0]), op,
-                        self.rvf(ir.operands[1])))
-        elif isinstance(ir, Select):
-            cond, if_true, if_false = ir.operands
-            L.append(ind + "%s = (%s) if (%s) else (%s)"
-                     % (tgt, self.rv(if_true), self.rv(cond),
-                        self.rv(if_false)))
-        elif isinstance(ir, Cast):
-            L.extend(self._cast_lines(ir, tgt, ind))
+        elif isinstance(ir, (BinaryOp, ICmp, FCmp, Cast, Select)):
+            L.extend(self._op_lines(ir, tgt, ind))
         elif isinstance(ir, GEP):
             L.extend(self._gep_lines(ir, tgt, ind))
         else:
@@ -456,92 +401,31 @@ class _StepperGen:
                  % (node.index, node.index, self._lat(kind)))
         return L
 
-    def _binop_lines(self, ir, tgt: str, ind: str) -> List[str]:
-        op = ir.op
-        if isinstance(ir.type, IntType):
-            bits = ir.type.bits
-            L = [ind + "ia = %s" % self.rvi(ir.lhs),
-                 ind + "ib = %s" % self.rvi(ir.rhs)]
-            if op in _INT_OPS:
-                L.append(ind + "r = ia %s ib" % _INT_OPS[op])
-            elif op in ("sdiv", "srem"):
-                what = "division" if op == "sdiv" else "remainder"
-                L.append(ind + "if ib == 0:")
-                L.append(ind + "    raise SimulationError(%r)"
-                         % ("integer %s by zero" % what,))
-                q = "abs(ia) // abs(ib) * (1 if (ia >= 0) == (ib >= 0) else -1)"
-                if op == "sdiv":
-                    L.append(ind + "r = " + q)
-                else:
-                    L.append(ind + "r = ia - (%s) * ib" % q)
-            elif op == "shl":
-                L.append(ind + "r = ia << (ib & %d)" % (bits - 1))
-            elif op == "ashr":
-                L.append(ind + "r = ia >> (ib & %d)" % (bits - 1))
-            elif op == "lshr":
-                L.append(ind + "r = (ia & %d) >> (ib & %d)"
-                         % ((1 << bits) - 1, bits - 1))
-            elif op == "smin":
-                L.append(ind + "r = ia if ia < ib else ib")
-            elif op == "smax":
-                L.append(ind + "r = ia if ia > ib else ib")
-            else:
-                raise UnsupportedDesign(f"integer binop {op}")
-            L.extend(self._wrap(tgt, ir.type, ind))
-            return L
-        L = [ind + "fa = %s" % self.rvf(ir.lhs),
-             ind + "fb = %s" % self.rvf(ir.rhs)]
-        if op in _FLT_OPS:
-            L.append(ind + "r = fa %s fb" % _FLT_OPS[op])
-        elif op == "fdiv":
-            L.append(ind + "if fb == 0.0:")
-            L.append(ind + "    r = _INF if fa > 0 else "
-                           "_NINF if fa < 0 else _NAN")
-            L.append(ind + "else:")
-            L.append(ind + "    r = fa / fb")
-        elif op == "fmin":
-            L.append(ind + "r = fa if fa < fb else fb")
-        elif op == "fmax":
-            L.append(ind + "r = fa if fa > fb else fb")
-        else:
-            raise UnsupportedDesign(f"float binop {op}")
-        L.append(ind + "%s = %s" % (tgt, self._f32("r")))
-        return L
-
-    def _cast_lines(self, ir, tgt: str, ind: str) -> List[str]:
-        kind = ir.kind
-        v = ir.operands[0]
-        if kind in _CAST_INT:
-            L = [ind + "r = %s" % self.rvi(v)]
-            L.extend(self._wrap(tgt, ir.type, ind))
-            return L
-        if kind == "sitofp":
-            return [ind + "%s = float(%s)" % (tgt, self.rvi(v))]
-        if kind == "fptosi":
-            L = [ind + "r = int(%s)" % self.rvf(v)]
-            L.extend(self._wrap(tgt, ir.type, ind))
-            return L
-        if kind == "bitcast":
-            return [ind + "%s = %s" % (tgt, self.rv(v))]
-        raise UnsupportedDesign(f"cast kind {kind}")
+    def _op_lines(self, ir, tgt: str, ind: str) -> List[str]:
+        """The op's statements from the :mod:`repro.ir.opsem` table, with
+        operands rendered in the entry's domain."""
+        op = ir.predicate if isinstance(ir, (ICmp, FCmp)) else ir.opcode
+        try:
+            read = {"int": self.rvi, "float": self.rvf,
+                    "raw": self.rv}[opsem.domain(op)]
+            lines = opsem.render(op, ir.type,
+                                 [read(v) for v in ir.operands], tgt)
+        except SimulationError as exc:
+            raise UnsupportedDesign(str(exc)) from None
+        return [ind + line for line in lines]
 
     def _gep_lines(self, ir, tgt: str, ind: str) -> List[str]:
-        terms = ["%s * %d" % (self.rvi(idx), stride)
+        terms = [(self.rvi(idx), "%d" % stride)
                  for idx, stride in zip(ir.indices, ir.strides)]
         base = ir.base
-        static_base = (isinstance(base, Constant)
-                       or isinstance(base, GlobalVariable))
-        if static_base:
-            expr = " + ".join([self.rvi(base)] + terms)
-            return [ind + "%s = %s" % (tgt, expr)]
-        L = [ind + "ba = %s" % self.rv(base),
-             ind + "if type(ba) is _RegSlot:",
-             ind + "    raise SimulationError(%r)"
-             % ("address arithmetic on a register slot — scalar allocas "
-                "may only be loaded/stored directly",)]
-        expr = " + ".join(["int(ba)"] + terms)
-        L.append(ind + "%s = %s" % (tgt, expr))
-        return L
+        if isinstance(base, (Constant, GlobalVariable)):
+            return [ind + opsem.render_gep(self.rvi(base), terms, tgt)]
+        return [ind + "ba = %s" % self.rv(base),
+                ind + "if type(ba) is _RegSlot:",
+                ind + "    raise SimulationError(%r)"
+                % ("address arithmetic on a register slot — scalar allocas "
+                   "may only be loaded/stored directly",),
+                ind + opsem.render_gep("int(ba)", terms, tgt)]
 
     # -- inlined _fire_memory / _finish ------------------------------------
 
@@ -1353,9 +1237,6 @@ def _generate(sim) -> Tuple[str, dict]:
     specialized kernel. Deterministic for a given design: iteration is
     over registration-order lists only, names are assigned by traversal
     index, and nothing depends on id()/hash ordering."""
-    import struct as _struct
-
-    from repro.errors import SimulationError as _SimulationError
     from repro.ir.opsem import value_to_raw as _value_to_raw
     from repro.memory.cache import _MSHR as _MSHRCls
     from repro.memory.databox import MemTag as _MemTagCls
@@ -1378,15 +1259,14 @@ def _generate(sim) -> Tuple[str, dict]:
             _emit_plumbing(em, k, comp, tick, busy, skip)
 
     busy_expr = " or ".join("(%s)" % t for t in busy) if busy else "0"
+    stalled = "idle > %d or quiet > %d" % (DEADLOCK_WINDOW, STALL_WINDOW)
     nch = len(em.channels)
 
     body: List[str] = []
     w = body.append
     w("P = %d" % _PARKED)
     w("B = P")
-    w('_INF = float("inf")')
-    w('_NINF = float("-inf")')
-    w('_NAN = float("nan")')
+    body.extend(opsem.PRELUDE)
     w("limit = start + max_cycles")
     w("cycle = sim.cycle")
     w("idle = sim._idle_cycles")
@@ -1494,7 +1374,7 @@ def _generate(sim) -> Tuple[str, dict]:
     w("        else:")
     w("            idle += 1")
     w("            busy = 0")
-    w("        if idle > 2048 or quiet > 32768:")
+    w("        if %s:" % stalled)
     w("            sim.cycle = cycle")
     w("            sim._idle_cycles = idle")
     w("            sim._quiet_cycles = quiet")
@@ -1505,10 +1385,10 @@ def _generate(sim) -> Tuple[str, dict]:
     w("        tw = limit")
     body.extend("        " + line for line in skip)
     w("        if not busy:")
-    w("            w = cycle + 2049 - idle")
+    w("            w = cycle + %d - idle" % (DEADLOCK_WINDOW + 1))
     w("            if w < tw:")
     w("                tw = w")
-    w("        w = cycle + 32769 - quiet")
+    w("        w = cycle + %d - quiet" % (STALL_WINDOW + 1))
     w("        if w < tw:")
     w("            tw = w")
     w("        span = tw - cycle")
@@ -1518,7 +1398,7 @@ def _generate(sim) -> Tuple[str, dict]:
     w("            if not busy:")
     w("                idle += span")
     w("            ff += span")
-    w("            if idle > 2048 or quiet > 32768:")
+    w("            if %s:" % stalled)
     w("                sim.cycle = cycle")
     w("                sim._idle_cycles = idle")
     w("                sim._quiet_cycles = quiet")
@@ -1580,10 +1460,10 @@ def _generate(sim) -> Tuple[str, dict]:
     ctx = {
         "objects": tuple(em.objs),
         "channels": tuple(em.channels),
-        "SimulationError": _SimulationError,
+        "SimulationError": opsem.HELPERS["SimulationError"],
         "RegSlot": _RegSlotCls,
-        "pack": _struct.pack,
-        "unpack": _struct.unpack,
+        "pack": opsem.HELPERS["_pk"],
+        "unpack": opsem.HELPERS["_up"],
         "MemRequest": _MemRequestCls,
         "MemResponse": _MemResponseCls,
         "MemTag": _MemTagCls,

@@ -36,6 +36,7 @@ from repro.ir.opsem import (
     eval_fcmp,
     eval_gep,
     eval_icmp,
+    eval_select,
     raw_to_value,
     value_to_raw,
 )
@@ -381,10 +382,8 @@ class TXUTile:
                 self._resolve(inst, ir.operands[0]),
                 self._resolve(inst, ir.operands[1]))
         elif isinstance(ir, Select):
-            cond, if_true, if_false = ir.operands
-            env[ir] = (self._resolve(inst, if_true)
-                       if self._resolve(inst, cond)
-                       else self._resolve(inst, if_false))
+            env[ir] = eval_select(
+                *[self._resolve(inst, v) for v in ir.operands])
         elif isinstance(ir, Cast):
             env[ir] = eval_cast(ir.kind, self._resolve(inst, ir.operands[0]),
                                 ir.type)

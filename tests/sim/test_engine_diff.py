@@ -1,12 +1,14 @@
 """Differential tests: event and compiled engines vs the dense oracle.
 
 Every example program and every registered workload must produce
-bit-identical cycle counts, return values and architectural stats under
-all three engines — ``stats()["engine"]`` (host wall-clock) is the only
-key allowed to differ. CI runs the same matrix via ``repro diff``.
+bit-identical cycle counts, return values, architectural stats and final
+memory images under all three engines — ``stats()["engine"]`` (host
+wall-clock) is the only key allowed to differ. CI runs the same matrix
+via ``repro diff``.
 """
 
 import glob
+import hashlib
 import os
 
 import pytest
@@ -23,6 +25,11 @@ EXAMPLES = sorted(
     # deadlock_* fixtures cannot terminate by design; their engine parity
     # is covered by the postmortem-equality property tests
     if "deadlock_" not in os.path.basename(path))
+
+
+def _digest(memory):
+    """SHA-256 of the final MainMemory image."""
+    return hashlib.sha256(memory.data).hexdigest()
 
 
 def _strip(stats):
@@ -43,7 +50,17 @@ def _run_example(path, engine):
     function = module.functions[0]
     args = _default_profile_args(function, accel.memory, 8)
     result = accel.run(function.name, args)
-    return result.cycles, result.retval, _strip(result.stats)
+    return (result.cycles, result.retval, _strip(result.stats),
+            _digest(accel.memory))
+
+
+def _run_workload(workload, config, scale=1):
+    """(correct, cycles, retval, stats, memory digest) of one run."""
+    accel = workload.build(config)
+    prepared = workload.prepare(accel.memory, scale)
+    result = accel.run(prepared.function, prepared.args)
+    return (prepared.check(accel.memory, result.retval), result.cycles,
+            result.retval, _strip(result.stats), _digest(accel.memory))
 
 
 @pytest.mark.parametrize("engine", ["event", "compiled"])
@@ -57,12 +74,10 @@ def test_example_programs_agree(path, engine):
 @pytest.mark.parametrize("name", REGISTRY.names())
 def test_workloads_agree(name, engine):
     workload = REGISTRY.get(name)
-    dense = workload.run(workload.default_config(2, engine="dense"))
-    other = workload.run(workload.default_config(2, engine=engine))
-    assert dense.correct and other.correct
-    assert dense.cycles == other.cycles
-    assert dense.retval == other.retval
-    assert _strip(dense.stats) == _strip(other.stats)
+    dense = _run_workload(workload, workload.default_config(2, engine="dense"))
+    other = _run_workload(workload, workload.default_config(2, engine=engine))
+    assert dense[0] and other[0]
+    assert dense == other
 
 
 def test_workload_agrees_with_observer_attached():
@@ -98,10 +113,8 @@ def test_memory_bound_config_agrees():
             2, engine=engine, board=ARRIA_10,
             cache=CacheParams(size_bytes=1024, mshr_count=1),
             dram_latency_cycles=200)
-        result = workload.run(config, scale=4)
-        outcomes[engine] = (result.cycles, result.retval,
-                            _strip(result.stats))
-        assert result.correct
+        outcomes[engine] = _run_workload(workload, config, scale=4)
+        assert outcomes[engine][0]
     assert outcomes["dense"] == outcomes["event"]
     assert outcomes["dense"] == outcomes["compiled"]
     # and the event engine actually skipped something on this workload

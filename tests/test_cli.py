@@ -202,6 +202,20 @@ class TestObservability:
         assert "coverage=" in out
         assert "Toolchain phases (host spans)" in out
 
+    def test_profile_host_report_names_engine_that_ran(self, kernel_file,
+                                                       capsys):
+        """Host profiling needs real ticks, so ``--engine compiled`` falls
+        back to the event engine; the header must say so."""
+        assert main(["profile", kernel_file, "--size", "6", "--host",
+                     "--engine", "compiled"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "engine=event (compiled fallback: " in header
+        assert "engine=compiled" not in header
+        assert main(["profile", kernel_file, "--size", "6", "--host",
+                     "--engine", "dense"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(
+            "engine=dense")
+
     def test_profile_host_stats_json(self, kernel_file, tmp_path, capsys):
         import json
 
@@ -385,6 +399,28 @@ class TestDiff:
         assert "dense vs compiled diverge" in err
         assert "first divergent cycle" in err
         assert "phantom.ch" in err
+
+    def test_memory_divergence_names_first_address(self, kernel_file, capsys,
+                                                   monkeypatch):
+        """Identical cycles, retval and stats but a different final
+        memory image still fails, naming the first differing address."""
+        from repro.accel import accelerator as accel_mod
+
+        real_run = accel_mod.Accelerator.run
+
+        def crooked_run(self, *args, **kwargs):
+            result = real_run(self, *args, **kwargs)
+            if self.sim.engine == "compiled":
+                self.memory.data[0x1234] ^= 0xFF
+            return result
+
+        monkeypatch.setattr(accel_mod.Accelerator, "run", crooked_run)
+        assert main(["diff", kernel_file,
+                     "--engines", "dense,compiled"]) == 1
+        err = capsys.readouterr().err
+        assert "memory differ" in err
+        assert "channel movement identical" in err
+        assert "memory first differs at address 0x1234" in err
 
 
 class TestErrors:
