@@ -222,7 +222,7 @@ def transfer_cast(kind: str, value: Optional[Interval], src_type,
         if isinstance(src_type, IntType) and src_type.bits == to_type.bits:
             return value
         return full
-    # opsem implements trunc/sext/zext uniformly as to_type.wrap(value):
+    # opsem's table wraps trunc/sext/zext uniformly to the target width:
     # widening casts preserve the signed value (including "zext"), and
     # trunc keeps it when it already fits.
     if full.lo <= value.lo and value.hi <= full.hi:

@@ -35,7 +35,6 @@ passes -> elaborate -> simulate) next to the guest cycle timeline, and
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -591,15 +590,15 @@ def cmd_diff(args) -> int:
         result = accel.run(function.name, entry_args)
         stats = dict(result.stats)
         stats.pop("engine", None)  # host-side numbers legitimately differ
-        outcomes[engine] = (result.cycles, result.retval, stats,
-                            hashlib.sha256(accel.memory.data).hexdigest())
-        images[engine] = accel.memory.data
+        outcomes[engine] = (result.cycles, result.retval, stats)
+        images[engine] = bytes(accel.memory.data)
 
     baseline = engines[0]
     label = f"{module.name}:{function.name}"
     failed = False
     for engine in engines[1:]:
-        if outcomes[engine] == outcomes[baseline]:
+        if (outcomes[engine] == outcomes[baseline]
+                and images[engine] == images[baseline]):
             continue
         failed = True
         base, other = outcomes[baseline], outcomes[engine]
@@ -607,11 +606,13 @@ def cmd_diff(args) -> int:
             logs[baseline], logs[engine], baseline, engine, drivers)
         detail = (f"; first divergent cycle {where[0]}: {where[1]}"
                   if where else "; channel movement identical")
-        differ = [what for what, i in (("retval", 1), ("stats", 2),
-                                       ("memory", 3)) if base[i] != other[i]]
-        if base[3] != other[3]:
-            a, b = images[baseline], images[engine]
-            address = next(i for i in range(len(a)) if a[i] != b[i])
+        differ = [what for what, i in (("retval", 1), ("stats", 2))
+                  if base[i] != other[i]]
+        a, b = images[baseline], images[engine]
+        if a != b:
+            differ.append("memory")
+            address = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                           min(len(a), len(b)))
             detail += f"; memory first differs at address {address:#x}"
         print(f"error: {label}: {baseline} vs {engine} diverge "
               f"({baseline} {base[0]} cycles, {engine} {other[0]} cycles"

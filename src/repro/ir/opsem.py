@@ -1,7 +1,8 @@
 """Functional semantics of IR operations: the one executable definition.
 
-Every pure op (binops, ``icmp``/``fcmp``, casts, ``select``, ``gep``) is
-an entry of :data:`OPS`, written as Python statement templates. The
+Every pure op (binops, ``icmp``/``fcmp``, casts, ``select``) is an entry
+of :data:`OPS`, written as Python statement templates (``gep``'s address
+sum is :func:`render_gep` for the kernel, :func:`eval_gep` otherwise). The
 interpreter (:func:`eval_binop` and friends: TXU, CPU baseline, constant
 folding, golden models) compiles each (op, type) once from that text and
 the compiled engine inlines the same text into its kernels, so — as in
@@ -171,35 +172,31 @@ def _op_function(op: str, type_: Type, *params: str) -> Callable:
                      render(op, type_, [convert % p for p in params], "t"))
 
 
-_FNS: Dict[tuple, Callable] = {}
-#: op -> (type, function) last used, so the usual one-type-per-op case
-#: skips hashing the type
-_RECENT: Dict[str, tuple] = {}
+_BINOP_FNS: Dict[tuple, Callable] = {}
+_CAST_FNS: Dict[tuple, Callable] = {}
 
 
-def _compiled(op: str, type_: Type, valid, *params: str) -> tuple:
+def _compile_into(cache: Dict[tuple, Callable], valid, op: str, type_: Type,
+                  *params: str) -> Callable:
     if op not in valid:
         raise SimulationError(f"unknown operation {op}")
-    fn = _FNS.get((op, type_))
-    if fn is None:
-        fn = _FNS[op, type_] = _op_function(op, type_, *params)
-    _RECENT[op] = (type_, fn)
-    return _RECENT[op]
+    fn = cache[op, type_] = _op_function(op, type_, *params)
+    return fn
 
 
 def eval_binop(op: str, type_: Type, a, b):
     """Evaluate a binary op with two's-complement / IEEE semantics."""
-    recent = _RECENT.get(op)
-    if recent is None or recent[0] is not type_:
-        recent = _compiled(op, type_, _BINOPS, "a", "b")
-    return recent[1](a, b)
+    fn = _BINOP_FNS.get((op, type_))
+    if fn is None:
+        fn = _compile_into(_BINOP_FNS, _BINOPS, op, type_, "a", "b")
+    return fn(a, b)
 
 
 def eval_cast(kind: str, value, to_type: Type):
-    recent = _RECENT.get(kind)
-    if recent is None or recent[0] is not to_type:
-        recent = _compiled(kind, to_type, CAST_KINDS, "v")
-    return recent[1](value)
+    fn = _CAST_FNS.get((kind, to_type))
+    if fn is None:
+        fn = _compile_into(_CAST_FNS, CAST_KINDS, kind, to_type, "v")
+    return fn(value)
 
 
 _BINOPS = INT_BINOPS | FLOAT_BINOPS
@@ -217,12 +214,11 @@ def eval_fcmp(predicate: str, a, b) -> int:
 
 
 def eval_gep(base: int, indices, strides) -> int:
-    fn = _FNS.get(("gep", len(indices)))
-    if fn is None:
-        fn = _FNS["gep", len(indices)] = _function("base, indices, strides", [render_gep(
-            "int(base)", [("int(indices[%d])" % k, "strides[%d]" % k)
-                          for k in range(len(indices))], "t")])
-    return fn(base, indices, strides)
+    """``base + index * stride + ...``, the sum :func:`render_gep` emits."""
+    addr = int(base)
+    for index, stride in zip(indices, strides):
+        addr += int(index) * stride
+    return addr
 
 
 to_f32 = _function("x", ["t = " + F32.format(x="float(x)")])
