@@ -275,6 +275,10 @@ def cmd_run(args) -> int:
     print(f"{workload.name}: {status}, {result.cycles} cycles for "
           f"{result.work_items} work items "
           f"({result.cycles_per_item:.1f} cycles/item)")
+    engine = result.stats["engine"]
+    if engine.get("kernel_origin"):
+        print(f"kernel: origin={engine['kernel_origin']} "
+              f"digest={engine['kernel_digest']}")
     if args.profile and observer is not None:
         from repro.reports import render_profile_report
 

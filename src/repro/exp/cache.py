@@ -40,6 +40,25 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
+def write_atomic(path: Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path`` through a tmp file and ``os.replace``
+    (creating the parent directory): readers see the old file or the
+    whole new one, never a torn write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 _fingerprint: Optional[str] = None
 
 
@@ -128,20 +147,8 @@ class ResultCache:
         """Store ``record`` atomically (tmp + rename: concurrent workers
         racing on the same key both write complete entries, last one
         wins — they are identical by construction)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"key": key, "version": __version__, "record": record}
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path_for(key), json.dumps(entry).encode("utf-8"))
 
     def _evict(self, path: Path) -> None:
         self.evictions += 1

@@ -32,7 +32,9 @@ from repro.ir.types import FloatType, IntType, PointerType, Type
 
 #: the float constants the templates use; the compiled kernel emits these
 #: lines verbatim, the interpreter executes them
-PRELUDE = ('_INF = float("inf")', '_NINF = float("-inf")', '_NAN = float("nan")')
+PRELUDE = ('_INF = float("inf")', '_NINF = float("-inf")', '_NAN = float("nan")',
+           # FLT_MAX plus half an ulp: the smallest magnitude f32 rounds to inf
+           "_F32 = %r" % float(2 ** 128 - 2 ** 103), "_NF32 = -_F32")
 
 #: the rest of the templates' namespace (the kernel binds these via ctx)
 HELPERS = {"_pk": struct.pack, "_up": struct.unpack,
@@ -43,8 +45,11 @@ WRAP = "{wrap}"
 WRAP_LINES = ("r &= {mask}", "if r >= {half}:", "    r -= {full}", "{t} = r")
 WRAP_I1 = ("{t} = r & 1",)  # i1 keeps 0/1, as IntType.wrap does
 
-#: round a double to single precision, as 32-bit hardware keeps it
-F32 = '_up("<f", _pk("<f", {x}))[0]'
+#: round a double to single precision, as 32-bit hardware keeps it: a
+#: finite value beyond f32 range becomes ±inf (IEEE-754), where
+#: ``struct.pack`` would raise; ``{x}`` must be a local name
+F32 = ('(_up("<f", _pk("<f", {x}))[0] if _NF32 < {x} < _F32 or {x} != {x}'
+       ' else _INF if {x} > 0.0 else _NINF)')
 
 _QUOT = "abs(ia) // abs(ib) * (1 if (ia >= 0) == (ib >= 0) else -1)"
 
@@ -109,7 +114,7 @@ OPS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "trunc": ("int", ("r = {a}", WRAP)),
     "sext": ("int", ("r = {a}", WRAP)),
     "zext": ("int", ("r = {a}", WRAP)),
-    "sitofp": ("int", ("{t} = " + F32.format(x="float({a})"),)),
+    "sitofp": ("int", ("r = float({a})", "{t} = " + F32.format(x="r"))),
     "fptosi": ("float", ("fa = {a}",
                          "if fa != fa or fa == _INF or fa == _NINF:",
                          "    raise SimulationError('fptosi of a non-finite value')",
@@ -221,7 +226,7 @@ def eval_gep(base: int, indices, strides) -> int:
     return addr
 
 
-to_f32 = _function("x", ["t = " + F32.format(x="float(x)")])
+to_f32 = _function("x", ["x = float(x)", "t = " + F32.format(x="x")])
 to_f32.__doc__ = "Quantise a Python float to single precision (what memory stores)."
 
 

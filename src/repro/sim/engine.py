@@ -144,6 +144,10 @@ class Simulator:
         #: why the compiled engine fell back to the event engine on the
         #: last run (None = ran compiled, or engine != "compiled")
         self.compiled_fallback = None
+        #: the compiled kernel's digest and where it came from ("memory",
+        #: "disk" or "compiled"), set each time a kernel is prepared
+        self.compiled_digest = None
+        self.compiled_origin = None
         # -- event-engine state ------------------------------------------
         #: channels with a pending push/pop this cycle (self-registered)
         self._dirty_channels: List[Channel] = []
@@ -661,6 +665,9 @@ class Simulator:
         }
         if self.engine == "compiled":
             stats["compiled_fallback"] = self.compiled_fallback
+            if self.compiled_fallback is None and self.compiled_digest:
+                stats["kernel_origin"] = self.compiled_origin
+                stats["kernel_digest"] = self.compiled_digest
         return stats
 
     def stats(self) -> Dict[str, dict]:

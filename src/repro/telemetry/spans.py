@@ -79,7 +79,9 @@ class SpanTracer:
 
     @contextmanager
     def span(self, name: str, category: str = "toolchain", **args):
-        """Time the enclosed block. Disabled tracers yield immediately."""
+        """Time the enclosed block. Disabled tracers yield None at once;
+        enabled ones yield the span's ``args`` dict, which the block may
+        extend with what it learns (recorded when the block exits)."""
         if not self.enabled:
             yield None
             return
@@ -89,7 +91,7 @@ class SpanTracer:
         if self.epoch_ns is None:
             self.epoch_ns = start
         try:
-            yield self
+            yield args
         finally:
             end = time.perf_counter_ns()
             self._local.depth = depth

@@ -1,12 +1,23 @@
 """Compiled-engine specifics: codegen determinism, content-addressed
 kernel caching, and the instrumentation fallback matrix.
 
+The on-disk kernel cache (marshalled code behind a magic + SHA-256
+header) is exercised across processes and against corrupt entries.
+
 Bit-identity of the compiled kernel against the dense oracle and the
 event engine is covered by the three-engine matrix in
 ``tests/sim/test_engine_diff.py`` and the hypothesis parity properties
 in ``tests/property/test_prop_engines.py``; this file owns everything
 about *how* the kernel is produced, cached and bypassed.
 """
+
+import hashlib
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +32,11 @@ from repro.sim.compile import (
     kernel_digest,
     prepare_kernel,
 )
+from repro.telemetry.spans import TRACER
 from repro.workloads import REGISTRY
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
 
 FIB = """
 func fib(n: i32) -> i32 {
@@ -100,6 +115,152 @@ class TestKernelCache:
         assert len(compile_mod._MODULES) == 1
         prepare_kernel(_build(tiles=4).sim)  # new design: new module
         assert len(compile_mod._MODULES) == 2
+
+
+def _saxpy_run(engine="compiled"):
+    """One saxpy run from a fresh build: the kernel's origin and digest
+    (None off the compiled kernel), cycles, retval and the SHA-256 of
+    the final memory image."""
+    workload = REGISTRY.get("saxpy")
+    accel = workload.build(workload.default_config(2, engine=engine))
+    prepared = workload.prepare(accel.memory, 1)
+    result = accel.run(prepared.function, prepared.args)
+    assert prepared.check(accel.memory, result.retval)
+    engine_stats = result.stats["engine"]
+    return {"origin": engine_stats.get("kernel_origin"),
+            "digest": engine_stats.get("kernel_digest"),
+            "cycles": result.cycles, "retval": result.retval,
+            "memory": hashlib.sha256(accel.memory.data).hexdigest()}
+
+
+def _same_result(a, b):
+    return all(a[key] == b[key] for key in ("cycles", "retval", "memory"))
+
+
+@pytest.fixture
+def cache_root(tmp_path, monkeypatch):
+    """A fresh cache directory and a cold in-process kernel cache."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    clear_kernel_cache()
+    yield tmp_path / "cache"
+    clear_kernel_cache()
+
+
+class TestDiskCache:
+    """``<cache-dir>/kernels/<digest>.code``: a second process loads the
+    marshalled kernel instead of compiling it, and a bad entry is only
+    ever a recompile."""
+
+    def _code_path(self, digest):
+        return kernel_cache_dir() / (digest + ".code")
+
+    def test_origin_memory_then_disk(self, cache_root):
+        first = _saxpy_run()
+        assert first["origin"] == "compiled"
+        assert self._code_path(first["digest"]).exists()
+        assert _saxpy_run()["origin"] == "memory"
+        clear_kernel_cache()
+        again = _saxpy_run()
+        assert again["origin"] == "disk"
+        assert again["digest"] == first["digest"]
+        assert _same_result(again, first)
+
+    def test_second_process_loads_from_disk(self, cache_root):
+        env = dict(os.environ, REPRO_CACHE_DIR=str(cache_root),
+                   PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"),
+                                               ROOT]))
+        script = ("import json\n"
+                  "from tests.sim.test_compiled_engine import _saxpy_run\n"
+                  "print(json.dumps(_saxpy_run()))\n")
+        runs = [json.loads(subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=env, check=True,
+            capture_output=True, text=True).stdout.splitlines()[-1])
+            for _ in range(2)]
+        assert [run["origin"] for run in runs] == ["compiled", "disk"]
+        assert runs[0]["digest"] == runs[1]["digest"]
+        dense = _saxpy_run("dense")
+        for run in runs:
+            assert _same_result(run, dense)
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "flipped_byte", "wrong_magic", "empty", "bad_marshal"])
+    def test_corrupt_entry_is_recompiled_and_rewritten(self, cache_root,
+                                                       damage):
+        first = _saxpy_run()
+        path = self._code_path(first["digest"])
+        good = path.read_bytes()
+        magic = importlib.util.MAGIC_NUMBER
+        header = len(magic) + 32
+        # a flipped byte marshal still loads: "make_kernel" -> "Make_kernel"
+        name = good.index(b"make_kernel", header)
+        bad = {
+            "truncated": good[:header + (len(good) - header) // 2],
+            "flipped_byte": good[:name] + b"M" + good[name + 1:],
+            "wrong_magic": bytes([magic[0] ^ 0xFF]) + good[1:],
+            "empty": b"",
+            # a valid header over bytes marshal rejects
+            "bad_marshal": magic + hashlib.sha256(b"\xff").digest() + b"\xff",
+        }[damage]
+        path.write_bytes(bad)
+        clear_kernel_cache()
+        again = _saxpy_run()
+        assert again["origin"] == "compiled"
+        assert _same_result(again, first)
+        assert path.read_bytes() == good  # rewritten
+        clear_kernel_cache()
+        assert _saxpy_run()["origin"] == "disk"
+
+    def test_code_copied_from_another_cache_dir_is_recompiled(
+            self, cache_root, tmp_path, monkeypatch):
+        """A code file's co_filename is its own cache's source mirror, so
+        tracebacks through a kernel read a file that exists."""
+        first = _saxpy_run()
+        moved = tmp_path / "moved"
+        shutil.copytree(cache_root, moved)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(moved))
+        clear_kernel_cache()
+        again = _saxpy_run()
+        assert again["origin"] == "compiled"
+        assert _same_result(again, first)
+        clear_kernel_cache()
+        assert _saxpy_run()["origin"] == "disk"
+
+    def test_fingerprint_rollover_makes_old_entry_unreachable(
+            self, cache_root, monkeypatch):
+        first = _saxpy_run()
+        monkeypatch.setattr(repro.exp.cache, "_fingerprint", "f" * 64)
+        clear_kernel_cache()
+        rolled = _saxpy_run()
+        assert rolled["origin"] == "compiled"
+        assert rolled["digest"] != first["digest"]
+        assert self._code_path(first["digest"]).exists()
+        assert _same_result(rolled, first)
+
+    def test_unwritable_cache_dir_compiles_every_time(
+            self, cache_root, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
+        first = _saxpy_run()
+        clear_kernel_cache()
+        second = _saxpy_run()
+        assert first["origin"] == second["origin"] == "compiled"
+        assert _same_result(first, second)
+
+    def test_spans_carry_the_origin(self, cache_root):
+        _saxpy_run()
+        clear_kernel_cache()
+        was_enabled = TRACER.enabled
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            _saxpy_run()
+        finally:
+            TRACER.enabled = was_enabled
+        spans = {span.name: span for span in TRACER.spans}
+        TRACER.reset()
+        assert "kernel.codegen" in spans
+        assert spans["kernel.compile"].args == {"origin": "disk"}
 
 
 class TestFallbackMatrix:

@@ -184,6 +184,21 @@ def test_fmin_fmax_signed_zero_and_nan(op, a, b):
     assert retval == _bits(a)
 
 
+@pytest.mark.parametrize("op,a,b,expected", [
+    ("fmul", 3e38, 2.0, INF),
+    ("fmul", -3e38, 2.0, -INF),
+    ("fdiv", 1.0, 1e-45, INF),
+    ("fadd", 3e38, 3e38, INF),
+    ("fsub", -3e38, 3e38, -INF),
+])
+def test_f32_overflow_rounds_to_infinity(op, a, b, expected):
+    """A finite result beyond FLT_MAX is ±inf (IEEE-754), not an
+    OverflowError from the f32 round-trip."""
+    stored, retval, _ = _assert_parity(_Probe(op, (F32, F32), F32), (a, b))
+    assert stored == struct.pack("<f", expected)
+    assert retval == _bits(expected)
+
+
 @pytest.mark.parametrize("op,operand_types,result_type,operands,message", [
     ("sdiv", (I32, I32), I32, (7, 0), "integer division by zero"),
     ("srem", (I32, I32), I32, (INT_MIN, 0), "integer remainder by zero"),
@@ -206,5 +221,9 @@ def test_spec_decisions():
     assert eval_binop("fdiv", F32, 0.0, 0.0) != eval_binop(
         "fdiv", F32, 0.0, 0.0)  # NaN
     assert eval_cast("sitofp", (1 << 25) + 1, F32) == float(1 << 25)
+    flt_max = struct.unpack("<f", b"\xff\xff\x7f\x7f")[0]
+    # just under FLT_MAX + half an ulp still rounds down to FLT_MAX
+    assert eval_binop("fmul", F32, flt_max, 1.0 + 2.0 ** -25) == flt_max
+    assert eval_binop("fmul", F32, flt_max, 1.0 + 2.0 ** -24) == INF
     with pytest.raises(SimulationError, match="non-finite"):
         eval_cast("fptosi", NAN, I32)

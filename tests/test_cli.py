@@ -119,6 +119,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "saxpy: OK" in out
 
+    def test_run_names_kernel_origin(self, capsys):
+        from repro.sim.compile import clear_kernel_cache
+
+        clear_kernel_cache()
+        assert main(["run", "saxpy", "--engine", "compiled"]) == 0
+        assert main(["run", "saxpy", "--engine", "compiled"]) == 0
+        assert main(["run", "saxpy", "--engine", "event"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("kernel: ")]
+        assert len(lines) == 2  # the event run has no kernel
+        assert lines[0].startswith("kernel: origin=") and "digest=" in lines[0]
+        assert lines[1].startswith("kernel: origin=memory ")
+
     def test_workloads_listing(self, capsys):
         assert main(["workloads"]) == 0
         out = capsys.readouterr().out
