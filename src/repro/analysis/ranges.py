@@ -222,9 +222,16 @@ def transfer_cast(kind: str, value: Optional[Interval], src_type,
         if isinstance(src_type, IntType) and src_type.bits == to_type.bits:
             return value
         return full
-    # opsem's table wraps trunc/sext/zext uniformly to the target width:
-    # widening casts preserve the signed value (including "zext"), and
-    # trunc keeps it when it already fits.
+    if kind == "zext" and value.lo < 0:
+        # zext reads its source as unsigned: negatives move up by 2**bits
+        if not isinstance(src_type, IntType):
+            return full
+        span = 1 << src_type.bits
+        value = (Interval(value.lo + span, value.hi + span) if value.hi < 0
+                 else Interval(0, span - 1))
+    # opsem's table then wraps trunc/sext/zext to the target width:
+    # widening casts preserve the (unsigned, for zext) value, and trunc
+    # keeps it when it already fits.
     if full.lo <= value.lo and value.hi <= full.hi:
         return value
     return full

@@ -9,8 +9,9 @@ the compiled engine inlines the same text into its kernels, so — as in
 the paper's FPGA-vs-i7 comparison (§V) — every timing model runs one
 semantics. Fields: ``{a}``/``{b}``/``{c}`` are operands already in the
 entry's domain (``int(x)``, ``float(x)`` or raw), ``{t}`` the target,
-``{sh}``/``{mask}`` are bits - 1 and 2**bits - 1 of an integer result; a
-:data:`WRAP` line wraps local ``r`` into ``{t}``. Templates may use only
+``{sh}``/``{mask}`` are bits - 1 and 2**bits - 1 of an integer result,
+``{smask}`` is 2**bits - 1 of a cast's integer source; a :data:`WRAP`
+line wraps local ``r`` into ``{t}``. Templates may use only
 their locals and the names of :data:`PRELUDE` and :data:`HELPERS`. The
 spec decisions are listed in ``docs/language.md`` ("Operation semantics").
 """
@@ -18,7 +19,7 @@ spec decisions are listed in ``docs/language.md`` ("Operation semantics").
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.ir.instructions import (
@@ -113,7 +114,8 @@ OPS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "oge": _cmp("float", ">="),
     "trunc": ("int", ("r = {a}", WRAP)),
     "sext": ("int", ("r = {a}", WRAP)),
-    "zext": ("int", ("r = {a}", WRAP)),
+    # zero-extension reads the operand as unsigned in its own width
+    "zext": ("int", ("r = {a} & {smask}", WRAP)),
     "sitofp": ("int", ("r = float({a})", "{t} = " + F32.format(x="r"))),
     "fptosi": ("float", ("fa = {a}",
                          "if fa != fa or fa == _INF or fa == _NINF:",
@@ -132,12 +134,19 @@ def domain(op: str) -> str:
     return OPS[op][0]
 
 
-def render(op: str, type_: Type, operands: Sequence[str], target: str) -> List[str]:
-    """The statements computing ``op`` (result type ``type_``) from
-    operand expressions in :func:`domain` form into ``target``."""
+def render(op: str, type_: Type, operands: Sequence[str], target: str,
+           from_type: Optional[Type] = None) -> List[str]:
+    """The statements computing ``op`` (result type ``type_``, operand
+    type ``from_type`` for a cast) from operand expressions in
+    :func:`domain` form into ``target``."""
     domain(op)
     templates = OPS[op][1]
     fields = dict(zip("abc", operands), t=target)
+    if any("{smask}" in line for line in templates):
+        if not isinstance(from_type, IntType):
+            raise SimulationError(
+                f"{op} needs an integer source type, got {from_type!r}")
+        fields["smask"] = (1 << from_type.bits) - 1
     if WRAP in templates:
         if not isinstance(type_, IntType):
             raise SimulationError(f"{op} needs an integer result type, got {type_!r}")
@@ -171,36 +180,36 @@ def _function(params: str, lines: List[str]) -> Callable:
     return namespace["_op"]
 
 
-def _op_function(op: str, type_: Type, *params: str) -> Callable:
+def _op_function(op: str, type_: Type, *params: str,
+                 from_type: Optional[Type] = None) -> Callable:
     convert = {"int": "int(%s)", "float": "float(%s)", "raw": "%s"}[domain(op)]
     return _function(", ".join(params),
-                     render(op, type_, [convert % p for p in params], "t"))
+                     render(op, type_, [convert % p for p in params], "t",
+                            from_type))
 
 
 _BINOP_FNS: Dict[tuple, Callable] = {}
 _CAST_FNS: Dict[tuple, Callable] = {}
 
 
-def _compile_into(cache: Dict[tuple, Callable], valid, op: str, type_: Type,
-                  *params: str) -> Callable:
-    if op not in valid:
-        raise SimulationError(f"unknown operation {op}")
-    fn = cache[op, type_] = _op_function(op, type_, *params)
-    return fn
-
-
 def eval_binop(op: str, type_: Type, a, b):
     """Evaluate a binary op with two's-complement / IEEE semantics."""
     fn = _BINOP_FNS.get((op, type_))
     if fn is None:
-        fn = _compile_into(_BINOP_FNS, _BINOPS, op, type_, "a", "b")
+        if op not in _BINOPS:
+            raise SimulationError(f"unknown operation {op}")
+        fn = _BINOP_FNS[op, type_] = _op_function(op, type_, "a", "b")
     return fn(a, b)
 
 
-def eval_cast(kind: str, value, to_type: Type):
-    fn = _CAST_FNS.get((kind, to_type))
+def eval_cast(kind: str, value, to_type: Type, from_type: Type):
+    """Convert ``value`` of type ``from_type`` to ``to_type``."""
+    fn = _CAST_FNS.get((kind, to_type, from_type))
     if fn is None:
-        fn = _compile_into(_CAST_FNS, CAST_KINDS, kind, to_type, "v")
+        if kind not in CAST_KINDS:
+            raise SimulationError(f"unknown operation {kind}")
+        fn = _CAST_FNS[kind, to_type, from_type] = _op_function(
+            kind, to_type, "v", from_type=from_type)
     return fn(value)
 
 

@@ -59,7 +59,8 @@ def _fold(inst: Instruction):
         if isinstance(inst, Select):
             return Constant(inst.type, eval_select(*vals))
         if isinstance(inst, Cast):
-            return Constant(inst.type, eval_cast(inst.kind, vals[0], inst.type))
+            return Constant(inst.type, eval_cast(inst.kind, vals[0], inst.type,
+                                                 inst.operands[0].type))
     except Exception:
         return None  # e.g. constant division by zero: leave it to run time
     return None

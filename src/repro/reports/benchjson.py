@@ -21,8 +21,8 @@ be tracked across PRs. The schema is one document per bench::
 tables) set ``cycles`` to None and carry their numbers in ``metrics``.
 Schema 2 added the ``engine`` key: host-side performance of the
 simulation itself (engine name, ``host_seconds``,
-``sim_cycles_per_host_second``, and ``kernel_origin`` when the compiled
-kernel ran). Schema 3 added sweep-runner
+``sim_cycles_per_host_second``, and ``kernel_origin`` and
+``instance_steps`` when the compiled kernel ran). Schema 3 added sweep-runner
 provenance: per-record ``cache_hit`` (served from the content-addressed
 result cache?) and ``worker`` (pid of the sweep worker that computed
 it), plus the top-level ``sweep`` wall-clock summary. Schema 4
@@ -62,9 +62,10 @@ _SCHEMA4_RECORD_KEYS = ("host_seconds", "sim_cycles_per_host_second")
 _SCHEMA4_DOCUMENT_KEYS = ("telemetry", "history")
 
 #: subset of Simulator.engine_stats() carried in bench records
-#: (``kernel_origin`` is None unless the compiled kernel ran)
+#: (``kernel_origin`` and ``instance_steps`` are None unless the compiled
+#: kernel ran)
 ENGINE_RECORD_KEYS = ("name", "host_seconds", "sim_cycles_per_host_second",
-                      "kernel_origin")
+                      "kernel_origin", "instance_steps")
 
 #: the sweep summary block carried at document level
 SWEEP_KEYS = ("points", "jobs", "wall_seconds", "cache_hits",

@@ -88,7 +88,7 @@ from repro.memory.dram import DRAMModel
 from repro.memory.scratchpad import Scratchpad
 from repro.sim.engine import DEADLOCK_WINDOW, STALL_WINDOW
 from repro.task.task_unit import OUTBOUND_BUFFER, TaskUnit
-from repro.task.txu import TXUTile
+from repro.task.txu import PARKED, TXUTile
 
 __all__ = [
     "prepare_kernel",
@@ -288,9 +288,6 @@ def generate_source(sim) -> str:
 # objects) arrives through ctx, so the same design always yields
 # byte-identical source and one cached module serves every sim of it.
 
-_PARKED = 1 << 60  # txu PARKED == the missing-dep sentinel (1 << 60)
-
-
 class _Emitter:
     """Collects ctx objects and source lines with deterministic naming.
 
@@ -371,10 +368,31 @@ class _StepperGen:
     straight-line unrolling of ``TXUTile._step_instance`` +
     ``_maybe_transition`` for that block's dataflow graph, with the
     tile's memory port (request channel index, SID, tile index, port)
-    baked in so ``_fire_memory`` and ``_finish`` are inlined flat ops."""
+    baked in so ``_fire_memory`` and ``_finish`` are inlined flat ops.
+
+    A stepper reads node state from the ``node_done`` list only where a
+    condition needs it and returns the instance's next wake-up:
+
+    * ``cycle + 1`` after a state change a dependent can see next cycle
+      (a one-cycle node fired, the block moved) or a retry (structural
+      hazard, or the tile's memory port already used this cycle); it
+      leaves ``wake_at``, which is at most this cycle and so reads as
+      due on any later one;
+    * otherwise the earliest in-flight node deadline (PARKED if none:
+      only a memory/call response can unblock it), stored in
+      ``wake_at``; -1 once the instance completed.
+
+    When a memory issue, a spawn/call, or (in ``_e<k>_<t>``) the
+    epilogue store finds its resource full, the instance is *parked*:
+    ``park`` records the resource (bit 1: request_out, bit 2: the unit's
+    outbound spawn buffer), and it is stepped again when its timer is
+    due or the tile's wake pass finds that resource with room (see
+    ``_emit_unit``). ``park`` is rewritten by every step that can
+    park."""
 
     def __init__(self, em: _Emitter, unit, compiled, latencies,
-                 tile, tile_index: int, tn: str, ep: str, un: str):
+                 tile, tile_index: int, tn: str, ep: str, un: str,
+                 slots: Dict[object, int]):
         self.em = em
         self.unit = unit
         self.compiled = compiled
@@ -384,6 +402,7 @@ class _StepperGen:
         self.tn = tn          # kernel alias of the tile object
         self.ep = ep          # name of the tile's epilogue-store closure
         self.un = un          # kernel alias of the owning task unit
+        self.slots = slots    # block -> first structural-hazard stamp slot
         self.ro = em.ci(tile.request_out)
         self.rocap = tile.request_out.capacity
 
@@ -463,10 +482,7 @@ class _StepperGen:
             raise UnsupportedDesign(
                 f"TXU codegen cannot execute {type(ir).__name__}")
 
-        # chained assignment keeps the hoisted per-node local in sync so a
-        # 0-latency dependent sees the fresh deadline within the same call
-        L.append(ind + "nd[%d] = dn%d = cycle + %d"
-                 % (node.index, node.index, self._lat(kind)))
+        L.append(ind + "nd[%d] = cycle + %d" % (node.index, self._lat(kind)))
         return L
 
     def _op_lines(self, ir, tgt: str, ind: str) -> List[str]:
@@ -476,8 +492,9 @@ class _StepperGen:
         try:
             read = {"int": self.rvi, "float": self.rvf,
                     "raw": self.rv}[opsem.domain(op)]
-            lines = opsem.render(op, ir.type,
-                                 [read(v) for v in ir.operands], tgt)
+            lines = opsem.render(
+                op, ir.type, [read(v) for v in ir.operands], tgt,
+                ir.operands[0].type if isinstance(ir, Cast) else None)
         except SimulationError as exc:
             raise UnsupportedDesign(str(exc)) from None
         return [ind + line for line in lines]
@@ -497,16 +514,16 @@ class _StepperGen:
 
     # -- inlined _fire_memory / _finish ------------------------------------
 
-    def mem_fire_lines(self, node, key: str, ind: str) -> List[str]:
+    def mem_fire_lines(self, node, stamp: str, ind: str) -> List[str]:
         """The ``elif``-chain tail of a load/store node attempt (mirrors
-        ``TXUTile._fire_memory``): already-issued and backpressure checks,
-        then the flat push of the request."""
+        ``TXUTile._fire_memory``). Only this tile pushes ``request_out``,
+        so a pending push on it means the port was used this cycle (a
+        retry); a full channel parks the instance."""
         ir = node.inst
-        ro, tn = self.ro, self.tn
-        L = [ind + "elif %s._mem_issued_this_cycle:" % tn,
-             ind + "    b = 1",
-             ind + "elif len(c%di) < %d and CP[%d] is None:"
-             % (ro, self.rocap, ro)]
+        ro = self.ro
+        L = [ind + "elif CP[%d] is not None:" % ro,
+             ind + "    r_ = 1",
+             ind + "elif len(c%di) < %d:" % (ro, self.rocap)]
         ptr = ir.pointer
         if isinstance(ptr, (Constant, GlobalVariable)):
             addr = self.rvi(ptr)
@@ -529,29 +546,29 @@ class _StepperGen:
                       self.unit.port))
         L.append(ind + "    CP[%d] = %s" % (ro, req))
         L.append(ind + "    dl.append(%d)" % ro)
-        L.append(ind + "    %s._mem_issued_this_cycle = True" % tn)
-        L.append(ind + "    pm.add(%d)" % node.index)
-        L.append(ind + "    fired.add(%s)" % key)
-        L.append(ind + "    f = 1")
+        L.append(ind + "    inst.pending_mem.add(%d)" % node.index)
+        L.append(ind + "    %s = cycle" % stamp)
+        L.append(ind + "    act = 1")
         L.append(ind + "else:")
-        L.append(ind + "    %s._mem_blocked = True" % tn)
-        L.append(ind + "    b = 1")
+        L.append(ind + "    pk |= 1")
         return L
 
     def finish_lines(self, retval_expr: str, ind: str) -> List[str]:
         """Inlined ``TXUTile._finish``: record the return value and either
         enter the epilogue store (shared-cache return) or complete."""
+        L = [ind + "act = 1"]
         if retval_expr == "None":
-            return [ind + "inst.retval = None",
-                    ind + 'inst.phase = "done"']
-        return [ind + "rv_ = %s" % retval_expr,
-                ind + "inst.retval = rv_",
-                ind + "if inst.entry.ret_ptr is not None "
-                      "and rv_ is not None:",
-                ind + '    inst.phase = "epilogue_issue"',
-                ind + "    %s(inst, cycle)" % self.ep,
-                ind + "else:",
-                ind + '    inst.phase = "done"']
+            return L + [ind + "inst.retval = None",
+                        ind + 'inst.phase = "done"',
+                        ind + "return -1"]
+        return L + [ind + "rv_ = %s" % retval_expr,
+                    ind + "inst.retval = rv_",
+                    ind + "if inst.entry.ret_ptr is not None "
+                          "and rv_ is not None:",
+                    ind + '    inst.phase = "epilogue_issue"',
+                    ind + "    return %s(inst, cycle)" % self.ep,
+                    ind + 'inst.phase = "done"',
+                    ind + "return -1"]
 
     # -- block entry (mirrors TXUTile._enter_block) ------------------------
 
@@ -561,89 +578,28 @@ class _StepperGen:
                     % (f"task {self.compiled.name}: control left the task "
                        f"region into {target.name}",)]
         return [ind + "inst.block = %s" % self.em.ref(target),
-                ind + "inst.node_done = {}",
+                ind + "inst.node_done = [P] * %d"
+                % len(self.compiled.dfg(target).nodes),
                 ind + "inst.pending_mem = set()",
                 ind + "inst.pending_call = set()",
                 ind + "inst.block_entry_cycle = cycle + 1"]
 
-    # -- the whole stepper -------------------------------------------------
+    def moved_lines(self, ind: str) -> List[str]:
+        """Progress a dependent can see next cycle: step again then (an
+        instance can only be parked in a block with a parking site).
+        ``wake_at`` is left as it is: it is at most this cycle, which
+        already reads as due on any later one."""
+        L = [ind + "act = 1"]
+        if self.parkable:
+            L.append(ind + "inst.park = 0")
+        return L + [ind + "return cycle + 1"]
 
-    def stepper(self, name: str, block) -> List[str]:
+    def terminator_lines(self, term, ind: str) -> List[str]:
+        """The block exit once every body node is done (mirrors
+        ``_maybe_transition``); falls through only for a spawn that
+        finds the outbound buffer full."""
         em = self.em
-        dfg = self.compiled.dfg(block)
-        nodes = dfg.nodes
-        body = nodes[:-1]
-        term_node = nodes[-1]
-        has_mem = any(n.kind in ("load", "store") for n in body)
-        has_call = any(n.kind == "call" for n in body)
-
-        L = ["def %s(inst, cycle):" % name,
-             "    nonlocal act",
-             "    nd = inst.node_done",
-             "    g = nd.get",
-             "    env = inst.env",
-             "    fired = %sf" % self.tn]
-        if has_mem:
-            L.append("    pm = inst.pending_mem")
-        if has_call:
-            L.append("    pc = inst.pending_call")
-        L.extend(["    f = 0", "    d = 0", "    b = 0",
-                  "    m = 0", "    blk = 0"])
-        # hoist each body node's done-cycle into a local: one dict probe
-        # per node per call instead of one per membership test plus one
-        # per dependent. The sentinel B comes back by identity when the
-        # node has not fired, so ``dnX is B`` is the not-in-nd test.
-        for node in body:
-            L.append("    dn%d = g(%d, B)" % (node.index, node.index))
-
-        def deps(node) -> str:
-            return " and ".join("dn%d <= cycle" % dep
-                                for dep in node.deps)
-
-        for node in body:
-            idx = node.index
-            key = em.ref((block, idx))
-            cond = "dn%d is B" % idx
-            if node.kind in ("load", "store"):
-                cond += " and %d not in pm" % idx
-            elif node.kind == "call":
-                cond += " and %d not in pc" % idx
-            dc = deps(node)
-            if dc:
-                cond += " and " + dc
-            L.append("    if %s:" % cond)
-            L.append("        if %s in fired:" % key)
-            L.append("            d = 1")
-            if node.kind in ("load", "store"):
-                L.extend(self.mem_fire_lines(node, key, "        "))
-            elif node.kind == "call":
-                L.append("        elif %sfc(inst, %s, cycle):"
-                         % (self.tn, em.ref(node)))
-                L.append("            fired.add(%s)" % key)
-                L.append("            f = 1")
-                L.append("        else:")
-                L.append("            b = 1")
-            else:
-                L.append("        else:")
-                L.extend(self.fire_lines(node, "            "))
-                L.append("            fired.add(%s)" % key)
-                L.append("            f = 1")
-
-        # -- transition (mirrors _maybe_transition) ------------------------
-        trans = ["dn%d <= cycle" % n.index for n in body]
-        if has_mem:
-            trans.append("not pm")
-        else:
-            trans.append("not inst.pending_mem")
-        if has_call:
-            trans.append("not pc")
-        else:
-            trans.append("not inst.pending_call")
-        tdeps = deps(term_node)
-        if tdeps:
-            trans.append(tdeps)
-        L.append("    if %s:" % " and ".join(trans))
-        term = term_node.inst
+        L: List[str] = []
         if isinstance(term, Detach):
             # inlined _fire_spawn + TaskUnit.issue_spawn: the spawn spec
             # (dest SID, marshalled args, ret pointer) is static, so the
@@ -655,72 +611,167 @@ class _StepperGen:
                 args += ","
             ret_ptr = ("int(%s)" % self.rv(spec.ret_ptr_value)
                        if spec.ret_ptr_value is not None else "None")
-            L.append("        if len(%sso) >= %d:"
-                     % (self.un, OUTBOUND_BUFFER))
-            L.append("            %s._spawn_blocked = True" % self.tn)
-            L.append("            blk = 1")
-            L.append("        else:")
-            L.append("            en_ = inst.entry")
-            L.append("            %sso.append(SpawnMessage(dest_sid=%d, "
+            L.append(ind + "if len(%sso) >= %d:" % (self.un, OUTBOUND_BUFFER))
+            L.append(ind + "    pk |= 2")
+            L.append(ind + "else:")
+            L.append(ind + "    en_ = inst.entry")
+            L.append(ind + "    %sso.append(SpawnMessage(dest_sid=%d, "
                      "args=(%s), parent_sid=%d, parent_dyid=en_.dyid, "
                      'join_kind="sync", ret_ptr=%s, parent_gid=en_.gid, '
                      "spawn_seq=None))"
-                     % (self.un, spec.dest_sid, args, self.unit.sid,
-                        ret_ptr))
-            L.append("            en_.child_count += 1")
-            L.append("            %s.spawns_issued += 1" % self.un)
-            L.append("            inst.spawned += 1")
-            L.extend(self.enter_lines(term.continuation, "            "))
-            L.append("            m = 1")
+                     % (self.un, spec.dest_sid, args, self.unit.sid, ret_ptr))
+            L.append(ind + "    en_.child_count += 1")
+            L.append(ind + "    %s.spawns_issued += 1" % self.un)
+            L.append(ind + "    inst.spawned += 1")
+            L.extend(self.enter_lines(term.continuation, ind + "    "))
+            L.extend(self.moved_lines(ind + "    "))
         elif isinstance(term, Sync):
-            L.append("        if inst.entry.child_count > 0:")
-            L.append("            %ssu(inst, %s)"
+            L.append(ind + "if inst.entry.child_count > 0:")
+            L.append(ind + "    act = 1")
+            L.append(ind + "    %ssu(inst, %s)"
                      % (self.tn, em.ref(term.continuation)))
-            L.append("        else:")
-            L.extend(self.enter_lines(term.continuation, "            "))
-            L.append("        m = 1")
+            L.append(ind + "    return P")
+            L.extend(self.enter_lines(term.continuation, ind))
+            L.extend(self.moved_lines(ind))
         elif isinstance(term, Br):
-            L.extend(self.enter_lines(term.dest, "        "))
-            L.append("        m = 1")
+            L.extend(self.enter_lines(term.dest, ind))
+            L.extend(self.moved_lines(ind))
         elif isinstance(term, CondBr):
-            L.append("        if %s:" % self.rv(term.cond))
-            L.extend(self.enter_lines(term.if_true, "            "))
-            L.append("        else:")
-            L.extend(self.enter_lines(term.if_false, "            "))
-            L.append("        m = 1")
+            L.append(ind + "if %s:" % self.rv(term.cond))
+            L.extend(self.enter_lines(term.if_true, ind + "    "))
+            L.append(ind + "else:")
+            L.extend(self.enter_lines(term.if_false, ind + "    "))
+            L.extend(self.moved_lines(ind))
         elif isinstance(term, Reattach):
-            L.extend(self.finish_lines("None", "        "))
-            L.append("        m = 1")
+            L.extend(self.finish_lines("None", ind))
         elif isinstance(term, Ret):
             retval = (self.rv(term.value)
                       if term.value is not None else "None")
-            L.extend(self.finish_lines(retval, "        "))
-            L.append("        m = 1")
+            L.extend(self.finish_lines(retval, ind))
         else:
             raise UnsupportedDesign(
                 f"terminator {type(term).__name__} not supported")
-
-        # -- wake bookkeeping (mirrors _step_instance's epilogue) ----------
-        L.extend([
-            "    if f or m:",
-            "        act = 1",
-            '    if m or f or d or b or blk or inst.phase != "run":',
-            "        inst.wake_at = cycle + 1",
-            '        if inst.phase != "run":',
-            "            return P",
-            "        if m or f or d:",
-            "            return cycle + 1",
-            "        return P",
-            "    w = P",
-            "    for x in nd.values():",
-            "        if x > cycle and x < w:",
-            "            w = x",
-            "    if w is P and not inst.pending_mem and not inst.pending_call:",
-            "        w = cycle + 1",
-            "    inst.wake_at = w",
-            "    return w",
-        ])
         return L
+
+    # -- one node's firing attempt -----------------------------------------
+
+    def node_lines(self, node, base: int, flags) -> List[str]:
+        """A body node's firing attempt, in index order (mirrors one
+        iteration of ``_step_instance``'s node loop): when it has not
+        fired, has no response pending and its dependencies are done,
+        the structural-hazard test (one firing per (block, node) per
+        cycle: a slot of the tile's stamp array holds the last cycle),
+        then the fire, retry or park. Records the flags it sets."""
+        tn, idx = self.tn, node.index
+        cond = ["nd[%d] is P" % idx]
+        if node.kind in ("load", "store"):
+            cond.append("%d not in inst.pending_mem" % idx)
+        elif node.kind == "call":
+            cond.append("%d not in inst.pending_call" % idx)
+        cond.extend("nd[%d] <= cycle" % dep for dep in node.deps)
+        stamp = "%sf[%d]" % (tn, base + idx)
+        L = ["    if %s:" % " and ".join(cond),
+             "        if %s == cycle:" % stamp,
+             "            r_ = 1"]
+        if node.kind in ("load", "store"):
+            L.extend(self.mem_fire_lines(node, stamp, "        "))
+            flags.update("rp")
+        elif node.kind == "call":
+            L.extend(["        elif len(%sso) < %d:" % (self.un, OUTBOUND_BUFFER),
+                      "            %sfc(inst, %s, cycle)"
+                      % (tn, self.em.ref(node)),
+                      "            %s = cycle" % stamp,
+                      "            act = 1",
+                      "        else:",
+                      "            pk |= 2"])
+            flags.update("rp")
+        else:
+            L.append("        else:")
+            L.extend(self.fire_lines(node, "            "))
+            L.append("            %s = cycle" % stamp)
+            L.append("            r_ = 1" if self._lat(node.kind) == 1
+                     else "            act = 1")
+            flags.add("r")
+        return L
+
+    # -- the whole stepper -------------------------------------------------
+
+    def stepper(self, name: str, block) -> List[str]:
+        tn = self.tn
+        nodes = self.compiled.dfg(block).nodes
+        body = nodes[:-1]
+        term = nodes[-1].inst
+        base = self.slots[block]
+        # r_: step again next cycle (a one-cycle node fired, or a retry);
+        # pk: the park mask. A longer node's firing only marks activity:
+        # the instance sleeps until a deadline (names stay clear of the
+        # opsem templates' locals)
+        flags = set()
+        L: List[str] = []
+        for node in body:
+            L.extend(self.node_lines(node, base, flags))
+        if isinstance(term, Detach):
+            flags.add("p")
+        self.parkable = "p" in flags
+
+        # -- transition: every body node done. A node fires only once its
+        # deps are done, so that holds when the sinks (nodes no other
+        # body node depends on) are; the terminator's deps are body nodes
+        if body:
+            deps = {dep for n in body for dep in n.deps}
+            L.append("    if %s:" % " and ".join(
+                "nd[%d] <= cycle" % n.index for n in reversed(body)
+                if n.index not in deps))
+            L.extend(self.terminator_lines(term, "        "))
+        else:
+            L.extend(self.terminator_lines(term, "    "))
+
+        # -- no block exit this cycle: retry, park or sleep ----------------
+        if body or "p" in flags:
+            if "r" in flags:
+                L.append("    if r_:")
+                L.extend(self.moved_lines("        "))
+            L.append("    w = P")
+            if body:
+                L.extend(["    for x in nd:",
+                          "        if x > cycle and x < w:",
+                          "            w = x"])
+            ind = "    "
+            if self.parkable:
+                L.extend(["    if pk:",
+                          "        inst.park = pk",
+                          "        %su |= pk" % tn,
+                          "        PK[pk] += 1",
+                          "    else:",
+                          "        inst.park = 0"])
+                ind = "        "
+            L.extend([ind + "if w is P and not inst.pending_mem "
+                            "and not inst.pending_call:",
+                      ind + "    w = cycle + 1",
+                      "    inst.wake_at = w",
+                      "    return w"])
+
+        pre = ["def %s(inst, cycle):" % name,
+               "    nonlocal act" + (", %su" % tn if self.parkable else "")]
+        if isinstance(term, Ret) and term.value is not None:
+            # the instance stays in its Ret block through the epilogue
+            pre.extend(["    ph = inst.phase",
+                        '    if ph != "run":',
+                        '        if ph == "epilogue_issue":',
+                        "            return %s(inst, cycle)" % self.ep,
+                        '        if ph == "done":',
+                        "            return -1",
+                        "        inst.wake_at = P",
+                        "        return P"])
+        if body:
+            pre.append("    nd = inst.node_done")
+        if any("env[" in line for line in L):
+            pre.append("    env = inst.env")
+        if "r" in flags:
+            pre.append("    r_ = 0")
+        if "p" in flags:
+            pre.append("    pk = 0")
+        return pre + L
 
 
 def _emit_plumbing(em: _Emitter, k: int, comp, tick, busy, skip):
@@ -1065,46 +1116,62 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
     si, ji = em.ci(unit.spawn_in), em.ci(unit.join_in)
     so, jo = em.ci(unit.spawn_out), em.ci(unit.join_out)
 
+    # one structural-hazard stamp slot per (owned block, body node)
+    slots: Dict[object, int] = {}
+    nslots = 0
+    for block in compiled.blocks:
+        if compiled.owns_block(block):
+            slots[block] = nslots
+            nslots += len(compiled.dfg(block).nodes) - 1
+
     tiles = []
     for ti, t in enumerate(unit.tiles):
         tn = "%s_t%d" % (u, ti)
         em.pre.append("%s = %s" % (tn, em.ref(t)))
         em.pre.append("%si = %s.instances" % (tn, tn))
         em.pre.append("%sb = %s._by_uid" % (tn, tn))
-        em.pre.append("%sf = %s._fired" % (tn, tn))
+        em.pre.append("%sf = [-1] * %d" % (tn, nslots))
         em.pre.append("%spr = %s._apply_response" % (tn, tn))
         em.pre.append("%sfc = %s._fire_call" % (tn, tn))
         em.pre.append("%ssu = %s._suspend" % (tn, tn))
+        em.pre.append("%srt = %s._retire" % (tn, tn))
         tiles.append((tn, em.ci(t.response_in), t))
 
     # -- per-tile epilogue closures, steppers, dispatch dicts --------------
     rettype = compiled.task.function.return_type
     for ti, (tn, _rc, t) in enumerate(tiles):
         ep = "_e%d_%d" % (k, ti)
+        sdefs.append("def %s(inst, cycle):" % ep)
         if rettype.is_void():
             # unreachable: a void task never has (ret_ptr, retval) set
-            sdefs.append("def %s(inst, cycle):" % ep)
             sdefs.append("    raise SimulationError(%r)"
                          % ("epilogue store for void task",))
         else:
+            # mirrors _issue_epilogue_store; returns the wake-up like a
+            # stepper: port used -> retry, full -> park on request_out
             ro = em.ci(t.request_out)
-            sdefs.append("def %s(inst, cycle):" % ep)
-            sdefs.append("    if %s._mem_issued_this_cycle:" % tn)
-            sdefs.append("        return")
-            sdefs.append("    if len(c%di) < %d and CP[%d] is None:"
-                         % (ro, t.request_out.capacity, ro))
-            sdefs.append('        CP[%d] = MemRequest(tag=MemTag(%d, %d, '
-                         'inst.uid, -1), op="store", '
-                         "addr=int(inst.entry.ret_ptr), size=%d, "
-                         "data=_v2r(%s, inst.retval), port=%d)"
-                         % (ro, unit.sid, ti, rettype.size_bytes,
-                            em.ref(rettype), unit.port))
-            sdefs.append("        dl.append(%d)" % ro)
-            sdefs.append("        %s._mem_issued_this_cycle = True" % tn)
-            sdefs.append('        inst.phase = "epilogue_wait"')
-            sdefs.append("    else:")
-            sdefs.append("        %s._mem_blocked = True" % tn)
-        gen = _StepperGen(em, unit, compiled, t.latencies, t, ti, tn, ep, u)
+            sdefs.extend([
+                "    nonlocal %su" % tn,
+                "    if CP[%d] is not None:" % ro,
+                "        inst.park = 0",
+                "        return cycle + 1",
+                "    if len(c%di) < %d:" % (ro, t.request_out.capacity),
+                '        CP[%d] = MemRequest(tag=MemTag(%d, %d, inst.uid, -1), '
+                'op="store", addr=int(inst.entry.ret_ptr), size=%d, '
+                "data=_v2r(%s, inst.retval), port=%d)"
+                % (ro, unit.sid, ti, rettype.size_bytes, em.ref(rettype),
+                   unit.port),
+                "        dl.append(%d)" % ro,
+                '        inst.phase = "epilogue_wait"',
+                "        inst.park = 0",
+                "    else:",
+                "        inst.park = 1",
+                "        %su |= 1" % tn,
+                "        PK[4] += 1",
+                "    inst.wake_at = P",
+                "    return P"])
+        gen = _StepperGen(em, unit, compiled, t.latencies, t, ti, tn, ep, u,
+                          slots)
         entries = []
         for bi, block in enumerate(compiled.blocks):
             if not compiled.owns_block(block):
@@ -1118,7 +1185,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
     guard = ["c%di" % ji, "c%di" % si, u + "jr", u + "so", u + "jo",
              u + "qr"]
     for tn, rc, _t in tiles:
-        guard.extend([tn + "i", "c%di" % rc, "%s._min_wake <= cycle" % tn])
+        guard.extend([tn + "i", "c%di" % rc])
     tick.append("if %s:" % " or ".join(guard))
     tick.append("    st = %s._synced_to" % u)
     tick.append("    if st < cycle - 1:")
@@ -1127,13 +1194,17 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         tick.append("        if %si:" % tn)
         tick.append("            %s.busy_cycles += gap" % tn)
     tick.append("    %s._synced_to = cycle" % u)
+    # wk_: a serial call returned to one of the tiles' instances (a sync
+    # join only updates the queue); dt_: the tile a dispatch started on
     tick.append("    wk_ = 0")
+    tick.append("    dt_ = -1")
     tick.append("    if c%di and not CQ[%d]:" % (ji, ji))
     tick.append("        msg = c%di[0]" % ji)
     tick.append("        CQ[%d] = 1" % ji)
     tick.append("        dl.append(%d)" % ji)
     tick.append("        %saj(msg, cycle)" % u)
-    tick.append("        wk_ = 1")
+    tick.append('        if msg.join_kind == "call":')
+    tick.append("            wk_ = 1")
     tick.append("    if c%di and not CQ[%d] and %sqf:" % (si, si, u))
     tick.append("        msg = c%di[0]" % si)
     tick.append("        CQ[%d] = 1" % si)
@@ -1144,24 +1215,23 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
     take = ("%sqr.pop()" if unit.queue.policy == "lifo"
             else "%sqr.popleft()") % u
     nt = len(unit.tiles)
-    tick.append("    if %sqr:" % u)
+    tick.append("    if %sqr and (%s):" % (u, " or ".join(
+        "len(%si) < %d" % (tn, t.max_inflight) for tn, _rc, t in tiles)))
     if nt == 1:
-        tn0, _rc0, t0 = tiles[0]
-        tick.append("        if len(%si) < %d:" % (tn0, t0.max_inflight))
-        tick.append("            dyid_ = %s" % take)
-        tick.append("            en_ = %sqe[dyid_]" % u)
-        tick.append('            if en_.state != "READY":')
-        tick.append("                raise SimulationError(")
-        tick.append('                    "task queue %s: ready-list entry '
+        tn0 = tiles[0][0]
+        tick.append("        dyid_ = %s" % take)
+        tick.append("        en_ = %sqe[dyid_]" % u)
+        tick.append('        if en_.state != "READY":')
+        tick.append("            raise SimulationError(")
+        tick.append('                "task queue %s: ready-list entry '
                     '%%d in state %%s" %% (dyid_, en_.state))'
                     % unit.queue.name.replace("%", "%%"))
-        tick.append('            en_.state = "EXE"')
-        tick.append("            %s.start(%s._uid_counter, en_, cycle)"
-                    % (tn0, u))
-        tick.append("            %s._uid_counter += 1" % u)
-        tick.append("            wk_ = 1")
-        tick.append("            if %s.first_dispatch_cycle is None:" % u)
-        tick.append("                %s.first_dispatch_cycle = cycle" % u)
+        tick.append('        en_.state = "EXE"')
+        tick.append("        %s.start(%s._uid_counter, en_, cycle)" % (tn0, u))
+        tick.append("        %s._uid_counter += 1" % u)
+        tick.append("        dt_ = 0")
+        tick.append("        if %s.first_dispatch_cycle is None:" % u)
+        tick.append("            %s.first_dispatch_cycle = cycle" % u)
     else:
         em.pre.append("%stl = (%s)" % (u, ", ".join(
             "(%s, %si, %d)" % (tn, tn, t.max_inflight)
@@ -1183,7 +1253,7 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
         tick.append("                tt_[0].start(%s._uid_counter, en_, "
                     "cycle)" % u)
         tick.append("                %s._uid_counter += 1" % u)
-        tick.append("                wk_ = 1")
+        tick.append("                dt_ = ix_")
         tick.append("                %s._dispatch_rr = ix_ + 1 if ix_ + 1 "
                     "< %d else 0" % (u, nt))
         tick.append("                if %s.first_dispatch_cycle is None:"
@@ -1192,75 +1262,70 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
                     % u)
         tick.append("                break")
         tick.append("            ix_ = ix_ + 1 if ix_ + 1 < %d else 0" % nt)
-    for ti, (tn, rc, _t) in enumerate(tiles):
-        # the instance loop is a pure no-op (each instance would hit its
-        # cycle < wake_at early-out) unless a wake event happened: a
-        # memory response or join arrived, a dispatch started/resumed an
-        # instance, a blocked epilogue store must retry (%sw, persisted
-        # across cycles), or a node-latency deadline (_min_wake) is due.
-        em.pre.append("%sw = 1" % tn)
-        em.pre.append("%sn = 0" % tn)
-        tick.append("    if %sf:" % tn)
-        tick.append("        %sf.clear()" % tn)
-        tick.append("    %s._mem_issued_this_cycle = False" % tn)
-        tick.append("    %s._mem_blocked = False" % tn)
-        tick.append("    %s._spawn_blocked = False" % tn)
-        tick.append("    rs_ = wk_")
-        tick.append("    if c%di and not CQ[%d]:" % (rc, rc))
-        tick.append("        resp = c%di[0]" % rc)
-        tick.append("        CQ[%d] = 1" % rc)
-        tick.append("        dl.append(%d)" % rc)
-        tick.append("        %spr(resp, cycle)" % tn)
-        tick.append("        rs_ = 1")
-        tick.append("    if %si:" % tn)
-        tick.append("        %s.busy_cycles += 1" % tn)
-        tick.append("        if rs_ or %sw or cycle >= %sn:" % (tn, tn))
-        tick.append("            %sw = 0" % tn)
-        tick.append("            mw = P")
-        tick.append("            nw_ = P")
-        tick.append("            fin = None")
-        tick.append("            for inst in %si[:]:" % tn)
-        tick.append("                ph = inst.phase")
-        tick.append('                if ph == "run":')
-        tick.append("                    wa = inst.wake_at")
-        tick.append("                    if cycle < wa:")
-        tick.append("                        if wa < mw:")
-        tick.append("                            mw = wa")
-        tick.append("                        if wa < nw_:")
-        tick.append("                            nw_ = wa")
-        tick.append("                        continue")
-        tick.append("                    _w = %sd[inst.block](inst, cycle)"
-                    % tn)
-        tick.append('                elif ph == "epilogue_issue":')
-        tick.append("                    _e%d_%d(inst, cycle)" % (k, ti))
-        tick.append("                    _w = P")
-        tick.append("                else:")
-        tick.append("                    _w = P")
-        tick.append("                ph = inst.phase")
-        tick.append('                if ph == "done":')
-        tick.append("                    if fin is None:")
-        tick.append("                        fin = [inst]")
-        tick.append("                    else:")
-        tick.append("                        fin.append(inst)")
-        tick.append("                else:")
-        tick.append('                    if ph == "epilogue_issue":')
-        tick.append("                        %sw = 1" % tn)
-        tick.append('                    elif ph == "run":')
-        tick.append("                        wa = inst.wake_at")
-        tick.append("                        if wa < nw_:")
-        tick.append("                            nw_ = wa")
-        tick.append("                    if _w < mw:")
-        tick.append("                        mw = _w")
-        tick.append("            %sn = nw_" % tn)
-        tick.append("            %s._min_wake = mw" % tn)
-        tick.append("            if fin is not None:")
-        tick.append("                for inst in fin:")
-        tick.append("                    %si.remove(inst)" % tn)
-        tick.append("                    del %sb[inst.uid]" % tn)
-        tick.append("                    %s.completed_instances += 1" % tn)
-        tick.append("                    %sfi(inst)" % u)
-        tick.append("    else:")
-        tick.append("        %s._min_wake = P" % tn)
+    for ti, (tn, rc, t) in enumerate(tiles):
+        # Per tile: tNm is the earliest wake_at of its instances. The
+        # instance list (uid order, the dense stepping order) is walked
+        # only on a wake event (a memory response, a serial-call return,
+        # a dispatch onto this tile, a park wake-up) or a due tNm, and
+        # steps the instances that are due. tNu covers the resources
+        # instances are parked on (a stepper parking adds its bit); when
+        # one has room at the start of the tile's step, the park pass
+        # wakes the lowest-uid instance parked on request_out (the first
+        # issue takes the port, later ones would find it used) and every
+        # instance parked on the outbound spawn buffer (several spawns
+        # can fit), and recomputes tNu.
+        ro = em.ci(t.request_out)
+        em.pre.append("%sm = 0" % tn)
+        em.pre.append("%su = 0" % tn)
+        tick.extend([
+            "    rs_ = wk_ or dt_ == %d" % ti,
+            "    if c%di and not CQ[%d]:" % (rc, rc),
+            "        resp = c%di[0]" % rc,
+            "        CQ[%d] = 1" % rc,
+            "        dl.append(%d)" % rc,
+            "        %spr(resp, cycle)" % tn,
+            "        rs_ = 1",
+            "    if %si:" % tn,
+            "        %s.busy_cycles += 1" % tn,
+            "        pk = %su" % tn,
+            "        if pk:",
+            "            r1 = pk & 1 and len(c%di) < %d"
+            % (ro, t.request_out.capacity),
+            "            r2 = pk & 2 and len(%sso) < %d" % (u, OUTBOUND_BUFFER),
+            "            if r1 or r2:",
+            "                pk = 0",
+            "                for inst in %si:" % tn,
+            "                    pu = inst.park",
+            "                    if pu:",
+            "                        if pu & 2 and r2 or pu & 1 and r1:",
+            "                            inst.wake_at = 0",
+            "                            if pu & 1:",
+            "                                r1 = 0",
+            "                        else:",
+            "                            pk |= pu",
+            "                %su = pk" % tn,
+            "                rs_ = 1",
+            "        if rs_ or cycle >= %sm:" % tn,
+            "            fin = []",
+            "            far = P",
+            "            for inst in %si[:]:" % tn,
+            "                wa = inst.wake_at",
+            "                if cycle < wa:",
+            "                    if wa < far:",
+            "                        far = wa",
+            "                    continue",
+            "                isteps += 1",
+            "                wa = %sd[inst.block](inst, cycle)" % tn,
+            "                if wa < far:",
+            "                    if wa < 0:",
+            "                        fin.append(inst)",
+            "                        continue",
+            "                    far = wa",
+            "            %sm = far" % tn,
+            "            if fin:",
+            "                %srt(fin)" % tn,
+            "    else:",
+            "        %sm = P" % tn])
     tick.append("    if %sjr:" % u)
     tick.append("        %ssj(cycle)" % u)
     tick.append("    if %sso and len(c%di) < %d and CP[%d] is None:"
@@ -1288,10 +1353,10 @@ def _emit_unit(em: _Emitter, k: int, unit, tick, busy, skip, sdefs):
     first = True
     for tn, _rc, _t in tiles:
         if first:
-            skip.append("    w = %s._min_wake" % tn)
+            skip.append("    w = %sm" % tn)
             first = False
         else:
-            skip.append("    w2 = %s._min_wake" % tn)
+            skip.append("    w2 = %sm" % tn)
             skip.append("    if w2 < w:")
             skip.append("        w = w2")
     skip.append("    if w <= cycle:")
@@ -1332,8 +1397,7 @@ def _generate(sim) -> Tuple[str, dict]:
 
     body: List[str] = []
     w = body.append
-    w("P = %d" % _PARKED)
-    w("B = P")
+    w("P = PARKED")
     body.extend(opsem.PRELUDE)
     w("limit = start + max_cycles")
     w("cycle = sim.cycle")
@@ -1343,6 +1407,10 @@ def _generate(sim) -> Tuple[str, dict]:
     w("sim._activity_flag = False")
     w("ticks = 0")
     w("ff = 0")
+    # host-side step accounting: stepper calls, and park events indexed
+    # by park mask (1 memory issue, 2 spawn/call, 3 both) + 4 epilogue
+    w("isteps = 0")
+    w("PK = [0] * 5")
     w("dirty = sim._dirty_channels")
     # flat channel state: item deques, pending push/pop, moved counters
     w("CI = tuple([c._items for c in CH])")
@@ -1380,6 +1448,13 @@ def _generate(sim) -> Tuple[str, dict]:
     w("        CO[i] = 0")
     w("        i += 1")
     body.extend(em.pre)
+    tiles = ["u%d_t%d" % (k, ti) for k, comp in enumerate(comps)
+             if isinstance(comp, TaskUnit) for ti in range(len(comp.tiles))]
+    # cold path (stall post-mortem, kernel exit): hand parked instances
+    # back in the state the interpreting engines expect
+    w("def _unpark():")
+    w("    for t in (%s):" % "".join(name + ", " for name in tiles))
+    w("        t.unpark()")
     body.extend(sdefs)
     # the hot loop allocates only acyclic objects (messages, instances,
     # small lists); pausing the cyclic collector avoids threshold-driven
@@ -1447,6 +1522,7 @@ def _generate(sim) -> Tuple[str, dict]:
     w("            sim._idle_cycles = idle")
     w("            sim._quiet_cycles = quiet")
     w("            _sync_totals()")
+    w("            _unpark()")
     w("            sim._check_stalls()")
     w("        if act:")
     w("            continue")
@@ -1471,6 +1547,7 @@ def _generate(sim) -> Tuple[str, dict]:
     w("                sim._idle_cycles = idle")
     w("                sim._quiet_cycles = quiet")
     w("                _sync_totals()")
+    w("                _unpark()")
     w("                sim._check_stalls()")
     w("finally:")
     w("    if _gc_on:")
@@ -1481,7 +1558,13 @@ def _generate(sim) -> Tuple[str, dict]:
     w("    sim._ticks_executed += ticks")
     w("    sim._component_ticks += ticks * %d" % len(comps))
     w("    sim._fast_forwarded_cycles += ff")
+    w("    sim._instance_steps += isteps")
+    w("    parks = sim._instance_parks")
+    w("    parks[0] += PK[1] + PK[3]")
+    w("    parks[1] += PK[2] + PK[3]")
+    w("    parks[2] += PK[4]")
     w("    _sync_totals()")
+    w("    _unpark()")
     # error-state parity: a mid-cycle exception leaves this cycle's
     # pending pushes/pops on the real channel objects, exactly as the
     # dense engine would (uncommitted, marked dirty)
@@ -1520,6 +1603,7 @@ def _generate(sim) -> Tuple[str, dict]:
     lines.append('    _MSHR = ctx["MSHR"]')
     lines.append('    _v2r = ctx["v2r"]')
     lines.append('    SpawnMessage = ctx["SpawnMessage"]')
+    lines.append('    PARKED = ctx["PARKED"]')
     lines.append("    import gc as _gc")
     lines.append("    def kernel(sim, done, start, max_cycles, mlog):")
     lines.extend("        " + line for line in body)
@@ -1538,5 +1622,6 @@ def _generate(sim) -> Tuple[str, dict]:
         "MSHR": _MSHRCls,
         "v2r": _value_to_raw,
         "SpawnMessage": _SpawnMessageCls,
+        "PARKED": PARKED,
     }
     return source, ctx

@@ -178,6 +178,10 @@ class Simulator:
         self._component_ticks = 0
         self._fast_forwarded_cycles = 0
         self._dense_fallback_cycles = 0
+        #: compiled kernel only: TXU stepper calls, and park events per
+        #: resource (memory issue, spawn/call, epilogue store)
+        self._instance_steps = 0
+        self._instance_parks = [0, 0, 0]
 
     # -- construction -----------------------------------------------------
 
@@ -340,6 +344,7 @@ class Simulator:
         back to the event engine — still bit-identical, just slower —
         with the reason recorded in :attr:`compiled_fallback`."""
         from repro.sim.compile import prepare_kernel
+        from repro.telemetry.spans import TRACER
 
         kernel, reason = prepare_kernel(self)
         if kernel is None:
@@ -347,7 +352,10 @@ class Simulator:
             self._run_event(done, start, max_cycles)
             return
         self.compiled_fallback = None
-        kernel(self, done, start, max_cycles, self._movement_log)
+        with TRACER.span("kernel.run", category="sim",
+                         digest=self.compiled_digest,
+                         origin=self.compiled_origin):
+            kernel(self, done, start, max_cycles, self._movement_log)
 
     # -- the event-driven kernel -------------------------------------------
 
@@ -668,6 +676,9 @@ class Simulator:
             if self.compiled_fallback is None and self.compiled_digest:
                 stats["kernel_origin"] = self.compiled_origin
                 stats["kernel_digest"] = self.compiled_digest
+                stats["instance_steps"] = self._instance_steps
+                stats["instance_parks"] = dict(zip(
+                    ("memory", "spawn", "epilogue"), self._instance_parks))
         return stats
 
     def stats(self) -> Dict[str, dict]:

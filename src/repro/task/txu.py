@@ -68,7 +68,10 @@ _EPILOGUE_NODE = -1  # synthetic node id for the ret_ptr store
 
 #: wake_at value of an instance that can only be unblocked by a memory or
 #: call response (those reset wake_at to 0 on arrival); the task unit's
-#: next_wake treats parked instances as channel-driven, not timer-driven
+#: next_wake treats parked instances as channel-driven, not timer-driven.
+#: It is also the not-fired sentinel of ``Instance.node_done``: every
+#: list holds this one object, so ``node_done[i] is PARKED`` is the
+#: not-fired test, and being above every cycle it never reads as ready
 PARKED = 1 << 60
 
 RUN = "run"
@@ -92,17 +95,19 @@ class Instance:
     __slots__ = (
         "uid", "entry", "block", "env", "regs", "node_done", "pending_mem",
         "pending_call", "phase", "retval", "spawned", "block_entry_cycle",
-        "wake_at",
+        "wake_at", "park",
     )
 
-    def __init__(self, uid: int, entry: TaskEntry, block):
+    def __init__(self, uid: int, entry: TaskEntry, block, nodes: int):
         self.uid = uid
         self.entry = entry
         self.block = block
         self.env: Dict[Value, Any] = {}
         self.regs: Dict[Alloca, Any] = {}
-        #: node index -> cycle at which its result is available
-        self.node_done: Dict[int, int] = {}
+        #: per node of the current block: the cycle its result is
+        #: available, or PARKED while it has not fired (memory and call
+        #: nodes stay PARKED until their response arrives)
+        self.node_done: List[int] = [PARKED] * nodes
         self.pending_mem: Set[int] = set()
         self.pending_call: Set[int] = set()
         self.phase = RUN
@@ -112,6 +117,11 @@ class Instance:
         #: scheduling hint: no dataflow progress possible before this cycle
         #: (purely a simulation fast path, not architectural state)
         self.wake_at = 0
+        #: compiled-kernel scheduling hint: bit 1 = waiting for room in
+        #: request_out, bit 2 = waiting for room in the unit's outbound
+        #: spawn buffer (0 = not parked; the interpreting engines never
+        #: park, see :meth:`TXUTile.unpark`)
+        self.park = 0
 
 
 class TXUTile:
@@ -156,15 +166,16 @@ class TXUTile:
 
     def start(self, uid: int, entry: TaskEntry, cycle: int) -> Instance:
         """Begin a fresh instance or resume a suspended one."""
-        if entry.resume_block is not None:
-            inst = Instance(uid, entry, entry.resume_block)
+        resume = entry.resume_block
+        block = self.compiled.entry_block if resume is None else resume
+        inst = Instance(uid, entry, block, len(self.compiled.dfg(block).nodes))
+        if resume is not None:
             inst.env = entry.saved_env or {}
             inst.regs = entry.saved_regs or {}
             entry.resume_block = None
             entry.saved_env = None
             entry.saved_regs = None
         else:
-            inst = Instance(uid, entry, self.compiled.entry_block)
             for value, arg in zip(self.compiled.arg_values, entry.args):
                 inst.env[value] = arg
                 if self.value_probe is not None:
@@ -218,6 +229,10 @@ class TXUTile:
             elif wake < min_wake:
                 min_wake = wake
         self._min_wake = min_wake
+        self._retire(finished)
+
+    def _retire(self, finished: List[Instance]):
+        """Remove instances that completed this cycle, in order."""
         for inst in finished:
             self.instances.remove(inst)
             del self._by_uid[inst.uid]
@@ -238,11 +253,11 @@ class TXUTile:
                 f"tile {self.tile_index}: response for unknown instance "
                 f"{resp.tag.instance}")
         node_idx = resp.tag.node
+        inst.wake_at = 0
         if node_idx == _EPILOGUE_NODE:
             inst.phase = DONE
             return
         inst.pending_mem.discard(node_idx)
-        inst.wake_at = 0
         node = self.compiled.dfg(inst.block).nodes[node_idx]
         if isinstance(node.inst, Load):
             inst.env[node.inst] = raw_to_value(node.inst.type, resp.data or 0)
@@ -294,7 +309,8 @@ class TXUTile:
         blocked_io = False   # backpressure: a no-op until a channel moves
         for node in nodes[:body_count]:
             idx = node.index
-            if idx in inst.node_done or idx in inst.pending_mem or idx in inst.pending_call:
+            if inst.node_done[idx] is not PARKED or idx in inst.pending_mem \
+                    or idx in inst.pending_call:
                 continue
             if not self._deps_ready(inst, node, cycle):
                 continue
@@ -325,7 +341,7 @@ class TXUTile:
             return PARKED  # blocked_io / spawn-blocked terminator
         # quiescent: wake when the earliest in-flight node finishes, or on
         # a memory/call response (those reset wake_at to 0 on arrival)
-        future = [d for d in inst.node_done.values() if d > cycle]
+        future = [d for d in inst.node_done if cycle < d < PARKED]
         if future:
             inst.wake_at = min(future)
         elif inst.pending_mem or inst.pending_call:
@@ -337,7 +353,7 @@ class TXUTile:
     def _deps_ready(self, inst: Instance, node, cycle: int) -> bool:
         done = inst.node_done
         for dep in node.deps:
-            if done.get(dep, 1 << 60) > cycle:
+            if done[dep] > cycle:
                 return False
         return True
 
@@ -386,7 +402,7 @@ class TXUTile:
                 *[self._resolve(inst, v) for v in ir.operands])
         elif isinstance(ir, Cast):
             env[ir] = eval_cast(ir.kind, self._resolve(inst, ir.operands[0]),
-                                ir.type)
+                                ir.type, ir.operands[0].type)
         elif isinstance(ir, GEP):
             base = self._resolve(inst, ir.base)
             if isinstance(base, _RegSlot):
@@ -456,8 +472,9 @@ class TXUTile:
         nodes = dfg.nodes
         term_node = nodes[-1]
         # every body node must be complete
+        done = inst.node_done
         for node in nodes[:-1]:
-            if inst.node_done.get(node.index, 1 << 60) > cycle:
+            if done[node.index] > cycle:
                 return None
         if inst.pending_mem or inst.pending_call:
             return None
@@ -512,7 +529,7 @@ class TXUTile:
                 f"task {self.compiled.name}: control left the task region "
                 f"into {block.name}")
         inst.block = block
-        inst.node_done = {}
+        inst.node_done = [PARKED] * len(self.compiled.dfg(block).nodes)
         inst.pending_mem = set()
         inst.pending_call = set()
         inst.block_entry_cycle = cycle + 1
@@ -558,6 +575,21 @@ class TXUTile:
         self._mem_issued_this_cycle = True
         inst.phase = EPILOGUE_WAIT
 
+    def unpark(self):
+        """Hand instances the compiled kernel parked back to the
+        interpreting engines, which retry a blocked instance every cycle:
+        make each due again, and set the backpressure markers its skipped
+        retries would have set, so a stall post-mortem taken now reads as
+        the dense engine's does."""
+        mask = 0
+        for inst in self.instances:
+            if inst.park:
+                mask |= inst.park
+                inst.park = 0
+                inst.wake_at = 0
+        self._mem_blocked = bool(mask & 1)
+        self._spawn_blocked = bool(mask & 2)
+
     # -- reporting --------------------------------------------------------
 
     def obs_classify(self, cycle: int):
@@ -573,8 +605,8 @@ class TXUTile:
         if self._fired:
             return OBS_BUSY, None
         for inst in self.instances:
-            for done in inst.node_done.values():
-                if done > cycle:
+            for done in inst.node_done:
+                if cycle < done < PARKED:
                     return OBS_BUSY, "execute"
         if self._spawn_blocked:
             return OBS_STALL_OUT, "spawn-backpressure"

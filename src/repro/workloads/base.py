@@ -78,10 +78,14 @@ class Workload:
             max_cycles: int = 50_000_000, trace=None,
             observer=None) -> WorkloadResult:
         """Build, offload, verify. The standard benchmark entry point."""
+        from repro.telemetry.spans import TRACER
+
         acc = self.build(config, trace=trace, observer=observer)
         prepared = self.prepare(acc.memory, scale)
         result = acc.run(prepared.function, prepared.args, max_cycles=max_cycles)
-        correct = prepared.check(acc.memory, result.retval)
+        with TRACER.span("workloads.check", category="workloads",
+                         workload=self.name):
+            correct = prepared.check(acc.memory, result.retval)
         return WorkloadResult(
             name=self.name, cycles=result.cycles, correct=correct,
             work_items=prepared.work_items, stats=result.stats,

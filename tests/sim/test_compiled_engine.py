@@ -341,6 +341,50 @@ class TestFallbackMatrix:
         assert accel.sim.compiled_digest
 
 
+class TestStepAccounting:
+    """The kernel steps a TXU instance only on a cycle on which it can
+    act: a backpressured memory issue, spawn/call or epilogue store
+    parks the instance until its resource has room, instead of retrying
+    it every cycle. The step counts are deterministic."""
+
+    def _engine(self, name, scale):
+        workload = REGISTRY.get(name)
+        result = workload.run(workload.default_config(engine="compiled"),
+                              scale=scale)
+        assert result.correct
+        return result.stats["engine"]
+
+    def test_fibonacci_steps(self):
+        """fibonacci, scale 1, paper tiles: 5,118 instance steps. The
+        parent kernel made 19,162 stepper calls (34,047 counting its
+        epilogue-store retries and retirements, as instance_steps does)."""
+        steps = self._engine("fibonacci", 1)["instance_steps"]
+        assert steps <= 5_630
+        assert steps < 0.6 * 19_162
+
+    def test_mergesort_steps(self):
+        """mergesort, scale 3, paper tiles: 24,353 instance steps. The
+        parent kernel made 54,152 stepper calls (54,438 counting its
+        retirements). At scale 1 there is too little spawn backpressure
+        to show (6,277 against 6,988)."""
+        steps = self._engine("mergesort", 3)["instance_steps"]
+        assert steps <= 26_790
+        assert steps < 0.6 * 54_152
+
+    def test_parks_are_reported_per_resource(self):
+        engine = self._engine("fibonacci", 1)
+        assert set(engine["instance_parks"]) == {"memory", "spawn",
+                                                 "epilogue"}
+        assert all(count > 0 for count in engine["instance_parks"].values())
+
+    def test_fallback_run_reports_no_steps(self):
+        workload = REGISTRY.get("saxpy")
+        result = workload.run(workload.default_config(engine="compiled"),
+                              observer=Observer())
+        assert result.stats["engine"]["compiled_fallback"]
+        assert "instance_steps" not in result.stats["engine"]
+
+
 def test_deadlock_postmortem_parity_on_generated_kernel():
     """The generated kernel embeds its own idle-window deadlock
     detector; on a design the codegen fully supports it must fail at

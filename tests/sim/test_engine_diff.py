@@ -166,3 +166,45 @@ def test_check_repro_under_event_engine(capsys):
     assert main(["run", "fibonacci", "--check-repro"]) == 0
     out = capsys.readouterr().out
     assert "reproducible" in out
+
+
+#: the backpressure matrix: (tiles, L1 bytes, MSHRs, DRAM latency) on the
+#: Arria 10 board -- a 1 KB L1 with one MSHR keeps request_out full, and
+#: fork-join workloads fill the outbound spawn buffer
+BACKPRESSURE_CONFIGS = [(1, 1024, 1, 270), (3, 1024, 1, 300)]
+
+
+def test_backpressure_configs_agree():
+    """Every workload under heavy memory and spawn backpressure: the
+    compiled kernel, which parks blocked TXU instances until their
+    resource has room, must match the dense oracle (which retries them
+    every cycle) on the full outcome, and the matrix must reach every
+    park kind."""
+    from repro.accel import ARRIA_10
+    from repro.memory.cache import CacheParams
+
+    parks = {"memory": 0, "spawn": 0, "epilogue": 0}
+    for tiles, size, mshrs, dram in BACKPRESSURE_CONFIGS:
+        for name in REGISTRY.names():
+            workload = REGISTRY.get(name)
+            outcomes = {}
+            for engine in ("dense", "compiled"):
+                config = workload.default_config(
+                    tiles, engine=engine, board=ARRIA_10,
+                    cache=CacheParams(size_bytes=size, mshr_count=mshrs),
+                    dram_latency_cycles=dram)
+                accel = workload.build(config)
+                prepared = workload.prepare(accel.memory, 1)
+                result = accel.run(prepared.function, prepared.args)
+                outcomes[engine] = (
+                    prepared.check(accel.memory, result.retval),
+                    result.cycles, result.retval, _strip(result.stats),
+                    _digest(accel.memory))
+            point = (name, tiles, size, mshrs, dram)
+            assert outcomes["dense"][0], point
+            assert outcomes["dense"] == outcomes["compiled"], point
+            engine_stats = result.stats["engine"]
+            assert engine_stats["compiled_fallback"] is None, point
+            for kind, count in engine_stats["instance_parks"].items():
+                parks[kind] += count
+    assert all(parks.values()), parks

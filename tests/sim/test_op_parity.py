@@ -17,7 +17,7 @@ import pytest
 from repro.accel import AcceleratorConfig, build_accelerator
 from repro.baselines import MulticoreCPU
 from repro.errors import SimulationError
-from repro.ir import F32, I1, I8, I32, Function, IRBuilder, Module, ptr
+from repro.ir import F32, I1, I8, I16, I32, Function, IRBuilder, Module, ptr
 from repro.ir.instructions import (
     CAST_KINDS,
     FCMP_PREDICATES,
@@ -199,6 +199,24 @@ def test_f32_overflow_rounds_to_infinity(op, a, b, expected):
     assert retval == _bits(expected)
 
 
+@pytest.mark.parametrize("from_type,value,expected", [
+    (I8, -1, 255),
+    (I8, -128, 128),
+    (I16, -(1 << 15), 1 << 15),
+    (I16, (1 << 15) - 1, (1 << 15) - 1),
+    (I1, 1, 1),
+    (I1, 0, 0),
+])
+def test_zext_reads_its_source_as_unsigned(from_type, value, expected):
+    """zext masks to the source width before widening (sext keeps the
+    sign): i8 -1 zero-extends to 255, not -1."""
+    stored, retval, _ = _assert_parity(_Probe("zext", (from_type,), I32),
+                                       (value,))
+    assert stored == struct.pack("<i", expected)
+    assert retval == expected
+    assert eval_cast("zext", value, I32, from_type) == expected
+
+
 @pytest.mark.parametrize("op,operand_types,result_type,operands,message", [
     ("sdiv", (I32, I32), I32, (7, 0), "integer division by zero"),
     ("srem", (I32, I32), I32, (INT_MIN, 0), "integer remainder by zero"),
@@ -220,10 +238,10 @@ def test_spec_decisions():
     assert eval_binop("fdiv", F32, -1.0, -0.0) == INF
     assert eval_binop("fdiv", F32, 0.0, 0.0) != eval_binop(
         "fdiv", F32, 0.0, 0.0)  # NaN
-    assert eval_cast("sitofp", (1 << 25) + 1, F32) == float(1 << 25)
+    assert eval_cast("sitofp", (1 << 25) + 1, F32, I32) == float(1 << 25)
     flt_max = struct.unpack("<f", b"\xff\xff\x7f\x7f")[0]
     # just under FLT_MAX + half an ulp still rounds down to FLT_MAX
     assert eval_binop("fmul", F32, flt_max, 1.0 + 2.0 ** -25) == flt_max
     assert eval_binop("fmul", F32, flt_max, 1.0 + 2.0 ** -24) == INF
     with pytest.raises(SimulationError, match="non-finite"):
-        eval_cast("fptosi", NAN, I32)
+        eval_cast("fptosi", NAN, I32, F32)

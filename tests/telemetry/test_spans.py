@@ -65,6 +65,46 @@ def test_toolchain_phases_are_traced_through_compile():
     TRACER.reset()
 
 
+def test_compiled_run_traces_every_kernel_layer():
+    """A traced compiled run records kernel codegen, compile and run
+    (inside ``simulate``; ``kernel.run`` names the kernel it ran) and
+    the workload's result check."""
+    from repro.telemetry.spans import TRACER
+    from repro.workloads import REGISTRY
+
+    workload = REGISTRY.get("saxpy")
+    was_enabled = TRACER.enabled
+    TRACER.reset()
+    TRACER.enable()
+    try:
+        result = workload.run(workload.default_config(1, engine="compiled"))
+    finally:
+        TRACER.enabled = was_enabled
+    spans = {span.name: span for span in TRACER.spans}
+    TRACER.reset()
+    assert {"kernel.codegen", "kernel.compile", "kernel.run",
+            "workloads.check"} <= set(spans)
+    engine = result.stats["engine"]
+    assert spans["kernel.run"].args == {"digest": engine["kernel_digest"],
+                                        "origin": engine["kernel_origin"]}
+    assert spans["kernel.run"].depth == spans["simulate"].depth + 1
+
+
+def test_disabled_tracer_records_no_kernel_spans():
+    from repro.telemetry.spans import TRACER
+    from repro.workloads import REGISTRY
+
+    workload = REGISTRY.get("saxpy")
+    was_enabled = TRACER.enabled
+    TRACER.reset()
+    TRACER.disable()
+    try:
+        workload.run(workload.default_config(1, engine="compiled"))
+    finally:
+        TRACER.enabled = was_enabled
+    assert TRACER.spans == []
+
+
 def test_host_trace_events_shape():
     tracer = SpanTracer(enabled=True)
     with tracer.span("a"):
